@@ -1,12 +1,14 @@
 // google-benchmark micro-benchmarks of the hot per-packet paths: event
 // queue, LRU cache, path monitor, reliability math, TDMA slot lookup,
-// interference coloring, and the CSMA contention cycle.
+// interference coloring and its incremental repair, and the CSMA
+// contention cycle.
 //
 // Accepts the suite-wide --csv PATH and --jobs N flags (translated to
 // --benchmark_out=PATH in CSV format / ignored, since the kernels are
 // single-threaded) alongside google-benchmark's own CLI.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -402,6 +404,40 @@ void BM_InterferenceColoring(benchmark::State& state) {
 BENCHMARK(BM_InterferenceColoring)
     ->Arg(25)
     ->Arg(400)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+// What a tdma_reuse recolor costs under waypoint churn since recolors
+// became exact repairs: one node steps 1 m in a random direction, then
+// the coloring is repaired around it. Compare BM_InterferenceColoring at
+// the same n, the full pass every recolor used to pay.
+void BM_InterferenceRepair(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(7);
+  auto topo = scale_field(n, rng);
+  mac::InterferenceColoring coloring(topo, 1.0);
+  auto mrng = rng.derive("moves");
+  std::vector<core::NodeId> movers(1);
+  core::NodeId mover = 0;
+  for (auto _ : state) {
+    const auto p = topo.position(mover);
+    const double a = mrng.uniform(0.0, 6.283185307179586);
+    topo.set_position(mover, {p.x + std::cos(a), p.y + std::sin(a)});
+    movers[0] = mover;
+    coloring.update(movers);
+    benchmark::DoNotOptimize(coloring.coloring().colors_used);
+    mover = static_cast<core::NodeId>((mover + 1) % n);
+  }
+  state.SetItemsProcessed(state.iterations());
+  const auto& st = coloring.stats();
+  state.counters["examined_per_repair"] =
+      st.repairs == 0 ? 0.0
+                      : static_cast<double>(st.examined) /
+                            static_cast<double>(st.repairs);
+}
+BENCHMARK(BM_InterferenceRepair)
+    ->Arg(400)
+    ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 // One CSMA contention cycle end to end: enqueue on an idle 2-node rig,

@@ -1,5 +1,6 @@
 #include "mac/reuse_tdma.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,22 +8,38 @@ namespace jtp::mac {
 
 ReuseSchedule::ReuseSchedule(const phy::Topology& topo, double slot_duration_s,
                              std::uint64_t seed, double range_margin)
-    : topo_(topo), slot_s_(slot_duration_s), seed_(seed), margin_(range_margin) {
+    : topo_(topo),
+      slot_s_(slot_duration_s),
+      seed_(seed),
+      coloring_(topo, range_margin),
+      colored_gen_(topo.generation()) {
   if (slot_duration_s <= 0.0)
     throw std::invalid_argument("ReuseSchedule: slot duration must be > 0");
-  ensure();
+  refresh_frame();
 }
 
 void ReuseSchedule::ensure() const {
   const std::uint64_t gen = topo_.generation();
   if (gen == colored_gen_) return;
-  coloring_ = color_interference(topo_, margin_);
-  // The permutation over colors keeps the slot -> color map pseudo-random
-  // per frame, same discipline (and seed) as the classic schedule.
-  slots_.emplace(std::max<std::size_t>(coloring_.colors_used, 1), slot_s_,
-                 seed_);
+  // The move ring names the nodes that moved since the last coloring; once
+  // the window has outrun it, every node may have moved.
+  if (topo_.moved_since(colored_gen_, movers_))
+    coloring_.update(movers_);
+  else
+    coloring_.rebuild();
   colored_gen_ = gen;
   ++recolors_;
+  refresh_frame();
+}
+
+void ReuseSchedule::refresh_frame() const {
+  // The permutation over colors keeps the slot -> color map pseudo-random
+  // per frame, same discipline (and seed) as the classic schedule. It is
+  // a pure function of the frame length, so it only changes with it.
+  const std::size_t colors =
+      std::max<std::size_t>(coloring_.coloring().colors_used, 1);
+  if (!slots_ || slots_->nodes() != colors)
+    slots_.emplace(colors, slot_s_, seed_);
 }
 
 std::uint64_t ReuseSchedule::slot_at(sim::Time t) const {
@@ -54,23 +71,28 @@ double ReuseSchedule::frame_duration() const {
 
 std::uint32_t ReuseSchedule::color_of(core::NodeId node) const {
   ensure();
-  if (node >= coloring_.color.size())
+  const Coloring& c = coloring_.coloring();
+  if (node >= c.color.size())
     throw std::out_of_range("ReuseSchedule: node id out of range");
-  return coloring_.color[node];
+  return c.color[node];
+}
+
+const ColoringStats& ReuseSchedule::coloring_stats() const {
+  ensure();
+  return coloring_.stats();
 }
 
 MacStats ReuseSchedule::stats() const {
   ensure();
+  const Coloring& c = coloring_.coloring();
   MacStats st;
   st.recolors = recolors_;
-  st.colors_used = coloring_.colors_used;
-  st.max_color =
-      coloring_.colors_used == 0 ? 0 : coloring_.colors_used - 1;
-  st.reuse_factor =
-      coloring_.colors_used == 0
-          ? 1.0
-          : static_cast<double>(coloring_.color.size()) /
-                static_cast<double>(coloring_.colors_used);
+  st.colors_used = c.colors_used;
+  st.max_color = c.colors_used == 0 ? 0 : c.colors_used - 1;
+  st.reuse_factor = c.colors_used == 0
+                        ? 1.0
+                        : static_cast<double>(c.color.size()) /
+                              static_cast<double>(c.colors_used);
   return st;
 }
 

@@ -7,17 +7,22 @@
 // concurrently, collision-free by the coloring property, so capacity is a
 // function of local density (the chromatic bound), not of n.
 //
-// The coloring is recomputed lazily off the topology's generation
-// counter, exactly like the routing view (PR 5): a static field colors
-// once; under mobility a recolor happens at most once per position
-// change, and only when the MAC actually consults the schedule. The slot
-// permutation over colors reuses TdmaSchedule, seeded like the classic
-// schedule so runs stay deterministic across recolors. MacStats is the
-// observable contract: recolors, colors_used, max_color, reuse_factor.
+// The coloring is brought up to date lazily off the topology's generation
+// counter, exactly like the routing view: a static field colors once;
+// under mobility a recolor happens at most once per position change, and
+// only when the MAC actually consults the schedule. A recolor is an exact
+// repair around the nodes Topology::moved_since names (see
+// InterferenceColoring), so the schedule is always the one a from-scratch
+// coloring would give; only a window that outran the move ring pays a
+// full pass. The slot permutation over colors reuses TdmaSchedule, seeded
+// like the classic schedule so runs stay deterministic across recolors.
+// MacStats is the observable contract: recolors, colors_used, max_color,
+// reuse_factor.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "mac/interference.h"
 #include "mac/mac_base.h"
@@ -53,17 +58,22 @@ class ReuseSchedule {
 
   std::uint32_t color_of(core::NodeId node) const;
   MacStats stats() const;
+  // Repair/rebuild work behind the recolors.
+  const ColoringStats& coloring_stats() const;
 
  private:
+  // Re-derives the color-slot schedule when the frame length changed.
+  void refresh_frame() const;
+
   const phy::Topology& topo_;
   double slot_s_;
   std::uint64_t seed_;
-  double margin_;
 
-  mutable Coloring coloring_;
+  mutable InterferenceColoring coloring_;
+  mutable std::vector<core::NodeId> movers_;   // moved_since scratch
   mutable std::optional<TdmaSchedule> slots_;  // permutation over colors
-  mutable std::uint64_t colored_gen_ = ~0ULL;
-  mutable std::uint64_t recolors_ = 0;
+  mutable std::uint64_t colored_gen_;
+  mutable std::uint64_t recolors_ = 1;  // the construction-time coloring
 };
 
 // One node's spatial-reuse MAC: the shared slot-timed loop bound to the

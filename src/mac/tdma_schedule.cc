@@ -25,17 +25,19 @@ sim::Time TdmaSchedule::slot_start(std::uint64_t slot) const {
   return static_cast<sim::Time>(slot) * slot_s_;
 }
 
-std::vector<core::NodeId> TdmaSchedule::frame_permutation(
+const std::vector<core::NodeId>& TdmaSchedule::frame_permutation(
     std::uint64_t frame) const {
+  if (perm_frame_ == frame && perm_.size() == n_) return perm_;
   // Fisher–Yates keyed by (seed, frame): deterministic, collision-free.
-  std::vector<core::NodeId> perm(n_);
-  std::iota(perm.begin(), perm.end(), core::NodeId{0});
+  perm_.resize(n_);
+  std::iota(perm_.begin(), perm_.end(), core::NodeId{0});
   std::uint64_t h = sim::splitmix64(seed_ ^ sim::splitmix64(frame));
   for (std::size_t i = n_ - 1; i > 0; --i) {
     h = sim::splitmix64(h);
-    std::swap(perm[i], perm[h % (i + 1)]);
+    std::swap(perm_[i], perm_[h % (i + 1)]);
   }
-  return perm;
+  perm_frame_ = frame;
+  return perm_;
 }
 
 core::NodeId TdmaSchedule::owner(std::uint64_t slot) const {
@@ -56,7 +58,7 @@ std::uint64_t TdmaSchedule::next_owned_slot_from(core::NodeId node,
   if (node >= n_) throw std::invalid_argument("TdmaSchedule: unknown node");
   // The node owns exactly one slot per frame: scan at most two frames.
   for (std::uint64_t frame = from_slot / n_;; ++frame) {
-    const auto perm = frame_permutation(frame);
+    const auto& perm = frame_permutation(frame);
     for (std::size_t idx = 0; idx < n_; ++idx) {
       const std::uint64_t s = frame * n_ + idx;
       if (s < from_slot) continue;

@@ -45,11 +45,19 @@ class TdmaSchedule {
   double node_capacity_pps() const { return 1.0 / frame_duration(); }
 
  private:
-  std::vector<core::NodeId> frame_permutation(std::uint64_t frame) const;
+  // The frame's owner permutation, drawn into perm_ (and kept while
+  // lookups stay in the same frame).
+  const std::vector<core::NodeId>& frame_permutation(
+      std::uint64_t frame) const;
 
   std::size_t n_;
   double slot_s_;
   std::uint64_t seed_;
+  // Slot lookups run once per transmission, so the permutation lives in a
+  // reused buffer instead of a fresh vector per frame scanned. A schedule
+  // therefore belongs to one thread, like the rest of its fabric.
+  mutable std::vector<core::NodeId> perm_;
+  mutable std::uint64_t perm_frame_ = ~0ULL;
 };
 
 }  // namespace jtp::mac

@@ -7,15 +7,25 @@
 // fields with negative coordinates and post-churn layouts), plus the two
 // analytic extremes — a clique needs n colors (reuse factor exactly 1)
 // and a sparse chain needs exactly 3 (reuse > 1).
+//
+// The InterferenceRepair suite pins the incremental path's exactness:
+// after every batch of moves the repaired coloring must equal a
+// from-scratch pass, color for color (small steps, cross-field teleports,
+// negative coordinates, whole-field batches, move-ring overflow, and a
+// random-waypoint-driven schedule).
 #include "mac/interference.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "mac/reuse_tdma.h"
+#include "phy/mobility.h"
 #include "phy/topology.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
 
 namespace jtp::mac {
 namespace {
@@ -181,6 +191,204 @@ TEST(ReuseSchedule, OwnedSlotsFollowColors) {
   // Conflicting neighbors never share a slot.
   EXPECT_NE(sched.color_of(0), sched.color_of(1));
   EXPECT_THROW(sched.color_of(99), std::out_of_range);
+}
+
+// ---- incremental repair vs the from-scratch oracle ----
+
+::testing::AssertionResult matches_scratch(const phy::Topology& topo,
+                                           const Coloring& c, double margin) {
+  const Coloring fresh = color_interference(topo, margin);
+  if (c.colors_used != fresh.colors_used)
+    return ::testing::AssertionFailure()
+           << "colors_used " << c.colors_used << ", from scratch "
+           << fresh.colors_used;
+  for (core::NodeId i = 0; i < topo.size(); ++i)
+    if (c.color[i] != fresh.color[i])
+      return ::testing::AssertionFailure()
+             << "node " << i << " has color " << c.color[i]
+             << ", from scratch " << fresh.color[i];
+  return ::testing::AssertionSuccess();
+}
+
+// n nodes uniform in a side x side square with its lower-left corner at
+// (origin, origin); no connectivity requirement, so sparse corners and
+// isolated nodes are part of the mix.
+phy::Topology scatter(std::size_t n, double side, double origin,
+                      std::uint64_t seed) {
+  phy::Topology topo(n, 40.0);
+  sim::Rng rng(seed);
+  for (core::NodeId i = 0; i < n; ++i)
+    topo.set_position(i, {origin + rng.uniform(0.0, side),
+                          origin + rng.uniform(0.0, side)});
+  return topo;
+}
+
+enum class Move { kStep, kTeleport };
+
+// For every margin and batch size: `rounds` batches of random moves (a
+// 1 m step in a random direction, or a jump anywhere in the field), each
+// followed by a repair over the move ring's movers and the oracle check.
+void churn_against_scratch(std::size_t n, double side, double origin,
+                           Move kind) {
+  for (const double margin : {1.0, 1.5, 2.0})
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}, n}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " margin=" << margin << " batch=" << batch);
+      auto topo = scatter(n, side, origin, 100 + n);
+      InterferenceColoring coloring(topo, margin);
+      sim::Rng rng(7 + batch);
+      std::vector<core::NodeId> movers;
+      const int rounds = batch == n ? 3 : 12;
+      for (int round = 0; round < rounds; ++round) {
+        const std::uint64_t gen = topo.generation();
+        for (std::size_t k = 0; k < batch; ++k) {
+          const auto id = static_cast<core::NodeId>(rng.integer(n));
+          const auto p = topo.position(id);
+          if (kind == Move::kStep) {
+            const double a = rng.uniform(0.0, 6.283185307179586);
+            topo.set_position(id, {p.x + std::cos(a), p.y + std::sin(a)});
+          } else {
+            topo.set_position(id, {origin + rng.uniform(0.0, side),
+                                   origin + rng.uniform(0.0, side)});
+          }
+        }
+        ASSERT_TRUE(topo.moved_since(gen, movers));
+        coloring.update(movers);
+        ASSERT_TRUE(matches_scratch(topo, coloring.coloring(), margin))
+            << "after round " << round;
+      }
+      EXPECT_EQ(coloring.stats().rebuilds, 1u);
+      EXPECT_EQ(coloring.stats().repairs, static_cast<std::uint64_t>(rounds));
+    }
+}
+
+TEST(InterferenceRepair, SmallStepsAcrossTheOriginMatchScratch) {
+  // The field straddles the origin, so cells on both signs get crossed.
+  churn_against_scratch(60, 250.0, -125.0, Move::kStep);
+  churn_against_scratch(400, 650.0, -325.0, Move::kStep);
+}
+
+TEST(InterferenceRepair, CrossFieldTeleportsMatchScratch) {
+  churn_against_scratch(60, 250.0, 0.0, Move::kTeleport);
+  churn_against_scratch(400, 650.0, 0.0, Move::kTeleport);
+}
+
+TEST(InterferenceRepair, TeleportsInNegativeCoordinatesMatchScratch) {
+  churn_against_scratch(60, 250.0, -1000.0, Move::kTeleport);
+  churn_against_scratch(400, 650.0, -1000.0, Move::kTeleport);
+}
+
+TEST(InterferenceRepair, RepairedColoringsStaySafe) {
+  // The brute-force safety oracle, independent of the greedy pass.
+  for (const double margin : {1.0, 2.0}) {
+    auto topo = scatter(60, 220.0, -50.0, 61);
+    InterferenceColoring coloring(topo, margin);
+    sim::Rng rng(13);
+    std::vector<core::NodeId> movers;
+    for (int round = 0; round < 6; ++round) {
+      const std::uint64_t gen = topo.generation();
+      for (int k = 0; k < 8; ++k) {
+        const auto id = static_cast<core::NodeId>(rng.integer(60));
+        const auto p = topo.position(id);
+        topo.set_position(id, {p.x + rng.uniform(-25.0, 25.0),
+                               p.y + rng.uniform(-25.0, 25.0)});
+      }
+      ASSERT_TRUE(topo.moved_since(gen, movers));
+      coloring.update(movers);
+      expect_proper(topo, coloring.coloring(), margin);
+    }
+  }
+}
+
+TEST(InterferenceRepair, MoveThatChangesNoEdgeExaminesNothing) {
+  // Chain spacing 30 m, range 40 m: nudging node 5 one metre sideways
+  // keeps every distance on the same side of R (40 m) and of margin·R
+  // (80 m at margin 2), so no conflict can change.
+  for (const double margin : {1.0, 2.0}) {
+    auto topo = phy::Topology::linear(12, 30.0, 40.0);
+    InterferenceColoring coloring(topo, margin);
+    const Coloring before = coloring.coloring();
+    topo.set_position(5, {150.0, 1.0});
+    coloring.update({5});
+    EXPECT_EQ(coloring.stats().repairs, 1u);
+    EXPECT_EQ(coloring.stats().examined, 0u);
+    EXPECT_EQ(coloring.coloring().color, before.color);
+
+    // Pulling it 35 m off the line breaks its radio links: real work.
+    topo.set_position(5, {150.0, 35.0});
+    coloring.update({5});
+    EXPECT_GT(coloring.stats().examined, 0u);
+    EXPECT_TRUE(matches_scratch(topo, coloring.coloring(), margin));
+  }
+}
+
+TEST(InterferenceRepair, StationaryMoversAreHarmless) {
+  auto topo = scatter(60, 250.0, 0.0, 71);
+  InterferenceColoring coloring(topo, 1.0);
+  topo.set_position(3, topo.position(3));  // a move to where it stood
+  const auto p = topo.position(9);
+  topo.set_position(9, {p.x + 60.0, p.y - 45.0});
+  coloring.update({3, 9, 17});  // 17 did not move at all
+  EXPECT_TRUE(matches_scratch(topo, coloring.coloring(), 1.0));
+  coloring.update({});
+  EXPECT_TRUE(matches_scratch(topo, coloring.coloring(), 1.0));
+}
+
+TEST(ReuseSchedule, MoveRingOverflowFallsBackToAFullPass) {
+  auto topo = scatter(60, 250.0, 0.0, 81);
+  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  sim::Rng rng(9);
+  const auto teleport_one = [&] {
+    topo.set_position(static_cast<core::NodeId>(rng.integer(60)),
+                      {rng.uniform(0.0, 250.0), rng.uniform(0.0, 250.0)});
+  };
+  for (std::size_t k = 0; k < topo.move_history_capacity() + 5; ++k)
+    teleport_one();
+  const auto check = [&] {
+    const Coloring fresh = color_interference(topo, 1.0);
+    for (core::NodeId i = 0; i < topo.size(); ++i)
+      ASSERT_EQ(sched.color_of(i), fresh.color[i]) << "node " << i;
+    EXPECT_EQ(sched.stats().colors_used, fresh.colors_used);
+  };
+  check();
+  EXPECT_EQ(sched.coloring_stats().rebuilds, 2u);
+  EXPECT_EQ(sched.coloring_stats().repairs, 0u);
+  EXPECT_EQ(sched.stats().recolors, 2u);
+
+  // Back inside the ring's window, recolors are repairs again.
+  teleport_one();
+  teleport_one();
+  check();
+  EXPECT_EQ(sched.coloring_stats().rebuilds, 2u);
+  EXPECT_EQ(sched.coloring_stats().repairs, 1u);
+  EXPECT_EQ(sched.stats().recolors, 3u);
+}
+
+TEST(ReuseSchedule, WaypointDrivenScheduleMatchesScratchAfterEveryEnsure) {
+  sim::Simulator sim;
+  auto topo = scatter(150, 300.0, 0.0, 91);
+  phy::MobilityConfig cfg;
+  cfg.speed_mps = 5.0;
+  cfg.mean_pause_s = 5.0;
+  cfg.field_m = 300.0;
+  phy::RandomWaypoint rwp(sim, topo, cfg, sim::Rng(3));
+  rwp.start();
+  ReuseSchedule narrow(topo, 0.01, 7, 1.0);
+  ReuseSchedule wide(topo, 0.01, 7, 2.0);
+  for (double t = 0.3; t <= 60.0; t += 0.3) {
+    sim.run_until(t);
+    for (const auto* s : {&narrow, &wide}) {
+      const Coloring fresh =
+          color_interference(topo, s == &narrow ? 1.0 : 2.0);
+      for (core::NodeId i = 0; i < topo.size(); ++i)
+        ASSERT_EQ(s->color_of(i), fresh.color[i])
+            << "node " << i << " at t=" << t;
+      ASSERT_EQ(s->stats().colors_used, fresh.colors_used) << "t=" << t;
+    }
+  }
+  EXPECT_EQ(narrow.coloring_stats().rebuilds, 1u);
+  EXPECT_GT(narrow.coloring_stats().repairs, 100u);
+  EXPECT_GT(narrow.coloring_stats().examined, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
+
+#include "sim/random.h"
 
 namespace jtp::mac {
 namespace {
@@ -91,6 +95,32 @@ TEST(TdmaSchedule, RejectsBadArgs) {
   TdmaSchedule s(3, 0.01, 1);
   EXPECT_THROW(s.next_owned_slot(5, 0.0), std::invalid_argument);
   EXPECT_THROW(s.slot_at(-1.0), std::invalid_argument);
+}
+
+TEST(TdmaSchedule, OwnersFollowTheKeyedDrawInAnyLookupOrder) {
+  // The reference draw: Fisher–Yates keyed by splitmix64(seed ^
+  // splitmix64(frame)). Lookups hop between frames out of order, so a
+  // reused permutation buffer must never answer for the wrong frame.
+  constexpr std::size_t kN = 9;
+  constexpr std::uint64_t kSeed = 77;
+  TdmaSchedule s(kN, 0.01, kSeed);
+  auto reference = [&](std::uint64_t frame) {
+    std::vector<core::NodeId> perm(kN);
+    std::iota(perm.begin(), perm.end(), core::NodeId{0});
+    std::uint64_t h = sim::splitmix64(kSeed ^ sim::splitmix64(frame));
+    for (std::size_t i = kN - 1; i > 0; --i) {
+      h = sim::splitmix64(h);
+      std::swap(perm[i], perm[h % (i + 1)]);
+    }
+    return perm;
+  };
+  for (const std::uint64_t frame : {5ULL, 0ULL, 5ULL, 12ULL, 3ULL, 12ULL}) {
+    const auto perm = reference(frame);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(s.owner(frame * kN + i), perm[i]) << "frame " << frame;
+      EXPECT_EQ(s.next_owned_slot_from(perm[i], frame * kN), frame * kN + i);
+    }
+  }
 }
 
 TEST(TdmaSchedule, SingleNodeOwnsEverySlot) {
