@@ -80,7 +80,7 @@ inline const char* usage_text() {
       "  --jobs N          run seeds on N threads (default: hw threads)\n"
       "  --csv PATH        also write the result series to CSV file(s);\n"
       "                    multi-table benches derive PATH.<section>.csv\n"
-      "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_ff, jtp_dr or bbr\n"
+      "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_dr or bbr\n"
       "  --shards N        run each simulation on N event-loop shards\n"
       "                    (results are byte-identical across N; needs a\n"
       "                    static topology and a non-CSMA MAC when N > 1)\n"
@@ -160,7 +160,7 @@ inline ParseResult parse_args(int argc, char** argv) {
       const auto p = core::parse_proto(argv[++i]);
       if (!p) {
         r.error = std::string("--proto: unknown protocol '") + argv[i] +
-                  "' (known: jtp, jnc, tcp, atp, jtp_ff, jtp_dr, bbr)";
+                  "' (known: jtp, jnc, tcp, atp, jtp_dr, bbr)";
         return r;
       }
       r.options.proto = *p;
@@ -281,14 +281,35 @@ inline void apply_scenario(const Options& opt, exp::ScenarioSpec& spec) {
   spec = std::move(updated);
 }
 
-// Sweep collapse: when --scenario overrides a field the bench sweeps
-// (e.g. net_size in fig09), the sweep honors the override by collapsing
-// to that single point — an accepted key must never be silently
-// clobbered by the bench's own loop.
+// True when --scenario names `key` in an explicit key=value token (a
+// preset token sets keys too, but only implicitly).
+inline bool scenario_sets(const Options& opt, const std::string& key) {
+  const std::string& text = opt.scenario;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    auto end = text.find(',', pos);
+    if (end == std::string::npos) end = text.size();
+    const auto eq = text.find('=', pos);
+    if (eq < end) {
+      auto b = pos, e = eq;
+      while (b < e && (text[b] == ' ' || text[b] == '\t')) ++b;
+      while (e > b && (text[e - 1] == ' ' || text[e - 1] == '\t')) --e;
+      if (text.compare(b, e - b, key) == 0) return true;
+    }
+    pos = end + 1;
+  }
+  return false;
+}
+
+// Sweep collapse: when --scenario sets a field the bench sweeps (e.g.
+// net_size in fig09) as an explicit key=value token, the sweep honors it
+// by collapsing to that single point — even when the value equals the
+// bench default. An accepted key must never be silently clobbered by the
+// bench's own loop; a bare preset name leaves the sweep alone.
 template <typename T>
-std::vector<T> sweep_or(const T& value, const T& base_default,
-                        std::vector<T> sweep) {
-  if (!(value == base_default)) return {value};
+std::vector<T> sweep_or(const Options& opt, const std::string& key,
+                        const T& value, std::vector<T> sweep) {
+  if (scenario_sets(opt, key)) return {value};
   return sweep;
 }
 

@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
   // Bare linear substrate (flows are attached per tolerance level below);
   // residual loss high enough that the attempt budget differs across
   // tolerance levels even in the good state.
-  exp::ScenarioSpec defaults;
-  defaults.loss_good = 0.15;
-  auto base = defaults;
+  exp::ScenarioSpec base;
+  base.loss_good = 0.15;
   bench::apply_scenario(opt, base);
 
   std::printf("=== Figure 3: adjustable reliability (jtp0/jtp10/jtp20) ===\n");
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> tolerances = {0.0, 0.10, 0.20};
   const auto sizes =
-      bench::sweep_or<std::size_t>(base.net_size, defaults.net_size,
+      bench::sweep_or<std::size_t>(opt, "net_size", base.net_size,
                                    {2, 3, 4, 5, 6, 7, 8, 9});
 
   auto rep = bench::make_report(

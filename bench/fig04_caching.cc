@@ -44,14 +44,13 @@ int main(int argc, char** argv) {
   // Caching-stress regime: deep, frequent bad dwells so the 5-attempt
   // budget is exceeded often (p_bad^5 ≈ 33%) and end-to-end vs in-network
   // recovery genuinely diverge — the regime Fig. 4 is about.
-  exp::ScenarioSpec defaults;
-  defaults.loss_good = 0.10;
-  defaults.loss_bad = 0.80;
-  defaults.bad_fraction = 0.30;
-  auto base = defaults;
+  exp::ScenarioSpec base;
+  base.loss_good = 0.10;
+  base.loss_bad = 0.80;
+  base.bad_fraction = 0.30;
   bench::apply_scenario(opt, base);
   const auto sizes = bench::sweep_or<std::size_t>(
-      base.net_size, defaults.net_size, {3, 4, 5, 6, 7, 8, 9});
+      opt, "net_size", base.net_size, {3, 4, 5, 6, 7, 8, 9});
   // Section (b) reports per-node energy for the 7-node case, or for the
   // sweep's largest size when an override collapsed the sweep.
   const std::size_t b_n =

@@ -49,15 +49,14 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(3, 10);
   const double duration = opt.pick_duration(800.0, 2500.0);
 
-  exp::ScenarioSpec defaults;
-  defaults.loss_bad = 0.6;
-  auto base = defaults;
+  exp::ScenarioSpec base;
+  base.loss_bad = 0.6;
   bench::apply_scenario(opt, base);
   const auto caches = bench::sweep_or<std::size_t>(
-      base.cache_size_packets, defaults.cache_size_packets,
+      opt, "cache_size", base.cache_size_packets,
       {1, 2, 4, 8, 16, 32, 64, 128});
   const auto sizes = bench::sweep_or<std::size_t>(
-      base.net_size, defaults.net_size, {4, 6, 8});
+      opt, "net_size", base.net_size, {4, 6, 8});
 
   std::printf("=== Figure 6: effect of cache size on source retransmissions ===\n");
   std::printf("long-lived reliable flow, lossy linear nets, %.0f s, %zu runs\n",

@@ -37,13 +37,12 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(5, 20);
   const double duration = opt.pick_duration(800.0, 2500.0);
 
-  const auto defaults = exp::preset("linear");
-  auto base = defaults;
+  auto base = exp::preset("linear");
   bench::apply_scenario(opt, base);
   const auto protos =
       opt.protos_or({exp::Proto::kJtp, exp::Proto::kAtp, exp::Proto::kTcp});
   const auto sizes =
-      bench::sweep_or<std::size_t>(base.net_size, defaults.net_size,
+      bench::sweep_or<std::size_t>(opt, "net_size", base.net_size,
                                    {2, 3, 4, 5, 6, 7, 8, 9, 10});
 
   std::printf("=== Figure 9: linear topologies, JTP vs ATP vs TCP-SACK ===\n");

@@ -35,13 +35,12 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(3, 10);
   const double duration = opt.pick_duration(1000.0, 4000.0);
 
-  const auto defaults = exp::preset("random");
-  auto base = defaults;
+  auto base = exp::preset("random");
   bench::apply_scenario(opt, base);
   const auto protos =
       opt.protos_or({exp::Proto::kJtp, exp::Proto::kAtp, exp::Proto::kTcp});
   const auto sizes = bench::sweep_or<std::size_t>(
-      base.net_size, defaults.net_size, {10, 15, 20, 25});
+      opt, "net_size", base.net_size, {10, 15, 20, 25});
 
   std::printf("=== Figure 10: static random topologies ===\n");
   std::printf("5 random flows, %.0f s, %zu runs, 95%% CI\n\n", duration,

@@ -36,13 +36,12 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(3, 10);
   const double duration = opt.pick_duration(1000.0, 4000.0);
 
-  const auto defaults = exp::preset("mobile");
-  auto base = defaults;
+  auto base = exp::preset("mobile");
   bench::apply_scenario(opt, base);
   const auto protos =
       opt.protos_or({exp::Proto::kJtp, exp::Proto::kAtp, exp::Proto::kTcp});
-  const auto speeds = bench::sweep_or(base.speed_mps, defaults.speed_mps,
-                                      {0.1, 1.0, 5.0});
+  const auto speeds =
+      bench::sweep_or(opt, "speed", base.speed_mps, {0.1, 1.0, 5.0});
 
   std::printf("=== Figure 11: mobility (random waypoint, %zu nodes) ===\n",
               base.net_size);

@@ -79,14 +79,13 @@ int main(int argc, char** argv) {
 
   for (const auto& plan : kPresets) {
     if (!only_preset.empty() && only_preset != plan.name) continue;
-    const auto defaults = exp::preset(plan.name);
-    auto base = defaults;
+    auto base = exp::preset(plan.name);
     bench::apply_scenario(opt, base);
     if (opt.shards) base.shards = *opt.shards;
     const double duration = opt.full ? plan.full_s : plan.quick_s;
 
     const auto macs = bench::sweep_or<mac::Mac>(
-        base.mac, defaults.mac,
+        opt, "mac", base.mac,
         {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});
 
     std::vector<sim::Column> cols{{"mac", 0}};

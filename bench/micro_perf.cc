@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the hot per-packet paths: event
 // queue, LRU cache, path monitor, reliability math, TDMA slot lookup,
-// interference coloring and its incremental repair, and the CSMA
+// interference coloring and its exact local repair, and the CSMA
 // contention cycle.
 //
 // Accepts the suite-wide --csv PATH and --jobs N flags (translated to
@@ -292,59 +292,6 @@ void BM_RoutingRefresh(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RoutingRefresh)->Arg(25)->Arg(400)->Unit(benchmark::kMicrosecond);
-
-// The churn kernel behind the incremental-repair claim: one node takes a
-// small (±1 m) step, the view refreshes, and 8 flow sources re-query their
-// next hops. With repair on, rows survive the step (most wiggles change no
-// edge; the rest patch a small subtree); with repair off, every step
-// invalidates all rows and the 8 queries each pay a fresh n-vertex BFS.
-// The /400 pair is the PR's acceptance gate: SmallMove must beat
-// FullRebuild by >= 10x.
-void route_churn_kernel(benchmark::State& state, bool incremental) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng(7);
-  auto topo = scale_field(n, rng);
-  sim::Simulator sim;
-  routing::RoutingConfig cfg;
-  cfg.incremental = incremental;
-  routing::LinkStateRouting r(sim, topo, cfg);
-  for (core::NodeId s = 1; s <= 8 && s < n; ++s)
-    benchmark::DoNotOptimize(r.next_hop(s, 0));  // warm the rows
-  auto mrng = rng.derive("moves");
-  core::NodeId mover = 1;
-  for (auto _ : state) {
-    const auto p = topo.position(mover);
-    topo.set_position(mover, {p.x + mrng.uniform(-1.0, 1.0),
-                              p.y + mrng.uniform(-1.0, 1.0)});
-    mover = static_cast<core::NodeId>(1 + (mover % (n - 1)));
-    r.refresh();
-    for (core::NodeId s = 1; s <= 8 && s < n; ++s)
-      benchmark::DoNotOptimize(r.next_hop(s, 0));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["rows_kept"] = static_cast<double>(r.stats().rows_kept);
-  state.counters["rows_repaired"] =
-      static_cast<double>(r.stats().rows_repaired);
-  state.counters["rows_built"] = static_cast<double>(r.stats().rows_built);
-  state.counters["repair_visits"] =
-      static_cast<double>(r.stats().repair_visits);
-}
-
-void BM_RouteRepairSmallMove(benchmark::State& state) {
-  route_churn_kernel(state, /*incremental=*/true);
-}
-BENCHMARK(BM_RouteRepairSmallMove)
-    ->Arg(25)
-    ->Arg(400)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_RouteRepairFullRebuild(benchmark::State& state) {
-  route_churn_kernel(state, /*incremental=*/false);
-}
-BENCHMARK(BM_RouteRepairFullRebuild)
-    ->Arg(25)
-    ->Arg(400)
-    ->Unit(benchmark::kMicrosecond);
 
 // The per-MAC-attempt channel path: transmission_lost on a warm link set
 // sized like a 400-node field (~4 links/node). One iteration = one dwell

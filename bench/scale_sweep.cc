@@ -14,11 +14,12 @@
 // chromatic bound, so aggregate delivery keeps growing with field area.
 //
 // A second leg re-runs every MAC under 1 m/s random waypoint (the
-// scale_mobile preset) and reports the incremental-repair counters:
-// rows_kept + rows_repaired > 0 is the in-bench proof that topology
-// churn no longer discards the cached routing rows. Add speed=1 via
-// --scenario to make the *main* sweep mobile instead (the extra leg then
-// drops out), or workload=on_off,transfer=50 for bursty sources.
+// scale_mobile preset) and reports the routing view's churn cost: every
+// changed topology generation invalidates the cached rows, so rows_built
+// tracks (nodes on live paths) x (snapshots that saw a move). Add
+// speed=1 via --scenario to make the *main* sweep mobile instead (the
+// extra leg then drops out), or workload=on_off,transfer=50 for bursty
+// sources.
 //
 // Wall-clock columns are machine-dependent, so this bench is excluded
 // from the committed-baseline suite (like micro_perf). --deterministic
@@ -56,9 +57,6 @@ struct ScaleRun {
   double p99_s = 0.0;
   double rows_built = 0.0;
   double row_reuses = 0.0;
-  double rows_kept = 0.0;
-  double rows_repaired = 0.0;
-  double repair_visits = 0.0;
   double event_pool_hw = 0.0;
   double packet_pool_hw = 0.0;
 };
@@ -91,9 +89,6 @@ ScaleRun one_run(exp::ScenarioSpec spec, std::size_t n, std::uint64_t seed,
   r.snapshots = static_cast<double>(rs.snapshots);
   r.rows_built = static_cast<double>(rs.rows_built);
   r.row_reuses = static_cast<double>(rs.row_reuses);
-  r.rows_kept = static_cast<double>(rs.rows_kept);
-  r.rows_repaired = static_cast<double>(rs.rows_repaired);
-  r.repair_visits = static_cast<double>(rs.repair_visits);
   r.event_pool_hw =
       static_cast<double>(s.network->simulator().event_pool_stats().high_water);
   r.packet_pool_hw =
@@ -133,17 +128,16 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(1, 3);
   const double duration = opt.pick_duration(60.0, 300.0);
 
-  const auto defaults = exp::preset("scale");
-  auto base = defaults;
+  auto base = exp::preset("scale");
   bench::apply_scenario(opt, base);
   base.proto = opt.proto_or(base.proto);
   if (opt.shards) base.shards = *opt.shards;
   const auto sizes = bench::sweep_or<std::size_t>(
-      base.net_size, defaults.net_size,
+      opt, "net_size", base.net_size,
       opt.full ? std::vector<std::size_t>{100, 400, 1000}
                : std::vector<std::size_t>{100, 400});
   const auto macs = bench::sweep_or<mac::Mac>(
-      base.mac, defaults.mac,
+      opt, "mac", base.mac,
       {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});
 
   std::printf("=== Scale sweep: cost vs network size, per MAC ===\n");
@@ -240,12 +234,12 @@ int main(int argc, char** argv) {
   // Mobile leg: the same field under 1 m/s random waypoint (the
   // scale_mobile preset), one report per MAC, sharded like the static
   // legs (per-shard trajectory replicas + epoch-barrier migration).
-  // The incremental-repair counters depend on which rows each shard's
-  // replica has cached — how the work was split, not what the run
-  // computed — so they sit with the other K-dependent diagnostics
-  // outside the --deterministic CSV. Skipped when the base sweep is
-  // already mobile (speed=... given via --scenario): the static legs
-  // above then carry the churn, and this would duplicate them.
+  // rows_built depends on which rows each shard's replica has cached —
+  // how the work was split, not what the run computed — so it sits with
+  // the other K-dependent diagnostics outside the --deterministic CSV.
+  // Skipped when the base sweep is already mobile (speed=... given via
+  // --scenario): the static legs above then carry the churn, and this
+  // would duplicate them.
   if (base.speed_mps == 0.0) {
     for (const mac::Mac m : macs) {
       auto spec = base;
@@ -260,12 +254,7 @@ int main(int argc, char** argv) {
                                                     {"jain", 3},
                                                     {"p99_done_s", 1}})
         cols.push_back(c);
-      if (!deterministic)
-        for (const auto& c : std::vector<sim::Column>{{"rows_kept", 0},
-                                                      {"rows_repaired", 0},
-                                                      {"repair_visits", 0},
-                                                      {"rows_built", 0}})
-          cols.push_back(c);
+      if (!deterministic) cols.push_back({"rows_built", 0});
       auto rep = bench::make_report(opt, "mobile mac=" + mac::mac_name(m),
                                     std::move(cols), 16,
                                     "mobile_" + mac::mac_name(m));
@@ -286,12 +275,8 @@ int main(int argc, char** argv) {
         row.push_back(mean_of(runs, &ScaleRun::snapshots));
         row.push_back(mean_of(runs, &ScaleRun::jain));
         row.push_back(mean_of(runs, &ScaleRun::p99_s));
-        if (!deterministic) {
-          row.push_back(mean_of(runs, &ScaleRun::rows_kept));
-          row.push_back(mean_of(runs, &ScaleRun::rows_repaired));
-          row.push_back(mean_of(runs, &ScaleRun::repair_visits));
+        if (!deterministic)
           row.push_back(mean_of(runs, &ScaleRun::rows_built));
-        }
         rep.row(row);
       }
       bench::finish_report(rep);
@@ -305,9 +290,8 @@ int main(int argc, char** argv) {
       "density (reuse = n/colors grows with n), so aggregate pkts keeps\n"
       "growing with field area. rows_built stays near (sources on live\n"
       "paths) x (snapshots); the pool high-water marks grow with flows,\n"
-      "not with net_size. In the mobile leg, rows_kept + rows_repaired\n"
-      "track the rows that survived each churned refresh, and\n"
-      "repair_visits / rows_repaired is the mean patched-subtree size\n"
-      "(vs net_size for a from-scratch row).\n");
+      "not with net_size. In the mobile leg every refresh sees a moved\n"
+      "field, so rows_built grows with the refresh count rather than\n"
+      "staying flat.\n");
   return 0;
 }

@@ -8,7 +8,6 @@ std::string proto_name(Proto p) {
     case Proto::kJnc: return "jnc";
     case Proto::kTcp: return "tcp";
     case Proto::kAtp: return "atp";
-    case Proto::kJtpFf: return "jtp_ff";
     case Proto::kJtpDr: return "jtp_dr";
     case Proto::kBbr: return "bbr";
   }
@@ -20,7 +19,6 @@ std::optional<Proto> parse_proto(std::string_view name) {
   if (name == "jnc") return Proto::kJnc;
   if (name == "tcp") return Proto::kTcp;
   if (name == "atp") return Proto::kAtp;
-  if (name == "jtp_ff" || name == "jtp-ff") return Proto::kJtpFf;
   if (name == "jtp_dr" || name == "jtp-dr") return Proto::kJtpDr;
   if (name == "bbr") return Proto::kBbr;
   return std::nullopt;

@@ -30,20 +30,15 @@ namespace jtp::core {
 //   kJnc — JTP with in-network caching disabled (Fig. 4);
 //   kTcp — rate-based TCP-SACK;
 //   kAtp — ATP-like explicit-rate protocol;
-//   kJtpFf — JTP with constant-rate ("fixed feedback") ACKing. Born as
-//            the test-local proof that the registry seam is zero-edit;
-//            now a permanent registrant (an ablation of the adaptive
-//            feedback clock, paper §5.1).
 //   kJtpDr — JTP whose PI²/MD available-rate input Ā is the sender-side
 //            delivery-rate estimate (core/rate_sample.h) instead of the
 //            path's per-hop idle-rate stamps (core/jtp_dr.h).
 //   kBbr — BBR-style model-based pacing over the TCP-SACK feedback
 //          channel (baselines/bbr.h).
-enum class Proto : std::uint8_t { kJtp, kJnc, kTcp, kAtp, kJtpFf, kJtpDr,
-                                  kBbr };
+enum class Proto : std::uint8_t { kJtp, kJnc, kTcp, kAtp, kJtpDr, kBbr };
 
-// Canonical lowercase CLI name ("jtp", "jnc", "tcp", "atp", "jtp_ff",
-// "jtp_dr", "bbr").
+// Canonical lowercase CLI name ("jtp", "jnc", "tcp", "atp", "jtp_dr",
+// "bbr").
 std::string proto_name(Proto p);
 
 // Inverse of proto_name; nullopt on an unknown name.

@@ -127,11 +127,10 @@ ScenarioSpec preset(const std::string& name) {
   }
   if (name == "scale_mobile") {
     // The scale tier under churn: same field, workload and slot as
-    // "scale", with every node on a 1 m/s random waypoint. This is the
-    // operating point the incremental route repair exists for — the
-    // control plane must absorb continuous position change without
-    // rebuilding the cached rows of the fan-in sources each refresh
-    // (bench/scale_sweep.cc reports rows_kept/rows_repaired for it).
+    // "scale", with every node on a 1 m/s random waypoint, so every
+    // routing refresh re-snapshots a moved field and the interference
+    // coloring is repaired around each mover (bench/scale_sweep.cc's
+    // mobile leg runs it under every MAC).
     s = preset("scale");
     s.speed_mps = 1.0;
     return s;
@@ -242,7 +241,7 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
                       "a probability in [0, 1]");
   if (key == "proto") {
     const auto p = parse_proto(value);
-    if (!p) return bad_value(key, value, "a protocol (jtp, jnc, tcp, atp, jtp_ff, jtp_dr, bbr)");
+    if (!p) return bad_value(key, value, "a protocol (jtp, jnc, tcp, atp, jtp_dr, bbr)");
     spec.proto = *p;
     return "";
   }

@@ -32,10 +32,9 @@
 
 namespace jtp::mac {
 
-// Registered MAC disciplines. kExt is the experiment slot: like
-// core::Proto::kJtpFf it is deliberately not CLI-parseable and only
-// runnable after an explicit MacRegistry::add() (the extension seam the
-// conformance suite exercises).
+// Registered MAC disciplines. kExt is the experiment slot: it is
+// deliberately not CLI-parseable and only runnable after an explicit
+// MacRegistry::add() (the extension seam the conformance suite exercises).
 enum class Mac : std::uint8_t { kTdma, kTdmaReuse, kCsma, kExt };
 
 std::string mac_name(Mac m);

@@ -110,30 +110,6 @@ class AtpFactory final : public TransportFactory {
   }
 };
 
-// JTP with the receiver's feedback clock pinned to a constant rate — an
-// ablation of the adaptive T controller (paper §5.1). Pure delegation to
-// the JTP factory with two FlowOptions overridden; this was the
-// test-local proof of the zero-edit registry seam (PR 4) and is now a
-// permanent registrant.
-class JtpFixedFeedbackFactory final : public TransportFactory {
- public:
-  explicit JtpFixedFeedbackFactory(
-      std::shared_ptr<const TransportFactory> base)
-      : base_(std::move(base)) {}
-
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    FlowOptions o = opt;
-    o.feedback_mode = core::FeedbackMode::kConstant;
-    o.constant_feedback_rate_pps = 0.5;  // fixed 2 s feedback period
-    return base_->make(net, flow, src, dst, o, path);
-  }
-
- private:
-  std::shared_ptr<const TransportFactory> base_;
-};
-
 // Delivery-rate-adaptive JTP: the stock eJTP endpoint pair, but the
 // sender is wrapped so the PI²/MD input Ā is a sender-side delivery-rate
 // estimate instead of the destination's per-hop idle-rate aggregate.
@@ -233,8 +209,6 @@ TransportRegistry::TransportRegistry() {
        std::make_shared<const TcpFactory>()});
   add({Proto::kAtp, HopPolicy::kRateStamp, /*caching=*/true,
        std::make_shared<const AtpFactory>()});
-  add({Proto::kJtpFf, HopPolicy::kIjtp, /*caching=*/true,
-       std::make_shared<const JtpFixedFeedbackFactory>(jtp)});
   add({Proto::kJtpDr, HopPolicy::kIjtp, /*caching=*/true,
        std::make_shared<const JtpDrFactory>()});
   add({Proto::kBbr, HopPolicy::kPlain, /*caching=*/true,

@@ -124,9 +124,8 @@ struct TransportInfo {
 };
 
 // Process-wide protocol registry. The builtin protocols (the four paper
-// protocols plus the jtp_ff ablation and the delivery-rate transports
-// jtp_dr/bbr) are registered on first use; additional protocols must be
-// registered before any
+// protocols plus the delivery-rate transports jtp_dr/bbr) are registered
+// on first use; additional protocols must be registered before any
 // simulation threads start (registration and lookup are mutex-guarded,
 // but the entries themselves are immutable once added — this is the one
 // deliberate process-global in the stack, and it holds no per-run state,

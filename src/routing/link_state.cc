@@ -1,10 +1,7 @@
 #include "routing/link_state.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace jtp::routing {
 
@@ -22,12 +19,9 @@ LinkStateRouting::LinkStateRouting(sim::Simulator& sim,
       snapshot_gen_(topo.generation()) {
   if (cfg.refresh_interval_s <= 0)
     throw std::invalid_argument("LinkStateRouting: bad refresh interval");
-  if (cfg.repair_fraction < 0.0 || cfg.repair_fraction > 1.0)
-    throw std::invalid_argument("LinkStateRouting: bad repair fraction");
   const std::size_t n = topo_.size();
   dist_.assign(n * n, kUnreachable);
   next_.assign(n * n, core::kInvalidNode);
-  order_.assign(n * n, 0);
   row_epoch_.assign(n, 0);  // epoch_ starts at 1: no row is valid yet
   stats_.refreshes = 1;     // construction takes the first view
   stats_.snapshots = 1;
@@ -55,199 +49,9 @@ void LinkStateRouting::refresh() {
 void LinkStateRouting::sync_view() const {
   if (topo_.generation() == snapshot_gen_) return;  // view already current
   ++stats_.snapshots;
-  if (cfg_.incremental && valid_rows_ > 0) {
-    // The move log is a locator hint, not a correctness input: when the
-    // ring has overflowed the window (a batched 5 s sync over a mobile
-    // field logs more position writes than it holds), every node is a
-    // candidate mover, and the changed-edge diff below still measures —
-    // and gates on — the actual rewiring.
-    if (!topo_.moved_since(snapshot_gen_, moved_scratch_)) {
-      moved_scratch_.resize(snapshot_.size());
-      std::iota(moved_scratch_.begin(), moved_scratch_.end(),
-                core::NodeId{0});
-    }
-    if (sync_incremental(moved_scratch_)) return;
-  }
-  sync_full();
-}
-
-void LinkStateRouting::sync_full() const {
   snapshot_ = topo_;
   snapshot_gen_ = topo_.generation();
   ++epoch_;  // invalidates every row without touching them
-  valid_rows_ = 0;
-}
-
-bool LinkStateRouting::sync_incremental(
-    const std::vector<core::NodeId>& moved) const {
-  const std::size_t n = snapshot_.size();
-  // No mover-count gate here: a batched sync (one 5 s refresh over a
-  // waypoint field) legitimately marks most nodes as moved while barely
-  // touching adjacency. The fallback decision belongs to the edge diff,
-  // computed below.
-
-  // Old adjacency of every mover (against the all-old snapshot), then
-  // apply the moves, then diff against the all-new adjacency. An edge can
-  // only change if it is incident to a mover, so the union of per-mover
-  // symmetric differences is exactly the changed-edge set.
-  old_nbrs_flat_.clear();
-  old_nbrs_offset_.clear();
-  for (const core::NodeId m : moved) {
-    old_nbrs_offset_.push_back(old_nbrs_flat_.size());
-    snapshot_.neighbors_into(m, bfs_nbrs_);
-    old_nbrs_flat_.insert(old_nbrs_flat_.end(), bfs_nbrs_.begin(),
-                          bfs_nbrs_.end());
-  }
-  old_nbrs_offset_.push_back(old_nbrs_flat_.size());
-  for (const core::NodeId m : moved)
-    snapshot_.set_position(m, topo_.position(m));
-  snapshot_gen_ = topo_.generation();
-
-  changed_edges_.clear();
-  for (std::size_t i = 0; i < moved.size(); ++i) {
-    const core::NodeId m = moved[i];
-    snapshot_.neighbors_into(m, bfs_nbrs_);
-    const auto* old_begin = old_nbrs_flat_.data() + old_nbrs_offset_[i];
-    const auto* old_end = old_nbrs_flat_.data() + old_nbrs_offset_[i + 1];
-    const auto* nw = bfs_nbrs_.data();
-    const auto* nw_end = nw + bfs_nbrs_.size();
-    // Both lists ascending: linear merge, either side of the symmetric
-    // difference is an edge that appeared or vanished. An edge between
-    // two movers shows up twice ((m,x) and (x,m)) — harmless below.
-    while (old_begin != old_end || nw != nw_end) {
-      if (nw == nw_end || (old_begin != old_end && *old_begin < *nw)) {
-        changed_edges_.emplace_back(m, *old_begin++);
-      } else if (old_begin == old_end || *nw < *old_begin) {
-        changed_edges_.emplace_back(m, *nw++);
-      } else {
-        ++old_begin;
-        ++nw;
-      }
-    }
-  }
-
-  if (changed_edges_.empty()) {
-    // Pure position wiggle: nobody crossed a range boundary, so the graph
-    // — and every cached row — is untouched.
-    stats_.rows_kept += valid_rows_;
-    return true;
-  }
-
-  // Normalize, sort and deduplicate the raw pairs (a mover-mover edge
-  // appears twice), then bucket them per lower endpoint — a CSR index
-  // built once per sync, walked once per cached row below. The fallback
-  // gate reads this deduplicated edge count: it measures actual
-  // rewiring, which is what makes repair worthwhile or not.
-  for (auto& e : changed_edges_)
-    if (e.first > e.second) std::swap(e.first, e.second);
-  std::sort(changed_edges_.begin(), changed_edges_.end());
-  changed_edges_.erase(
-      std::unique(changed_edges_.begin(), changed_edges_.end()),
-      changed_edges_.end());
-  if (static_cast<double>(changed_edges_.size()) >
-      cfg_.repair_fraction * static_cast<double>(n))
-    return false;  // mass rewiring: one big invalidation beats many patches
-  edge_heads_.clear();
-  edge_offsets_.clear();
-  edge_partners_.clear();
-  for (const auto& e : changed_edges_) {
-    if (edge_heads_.empty() || edge_heads_.back() != e.first) {
-      edge_heads_.push_back(e.first);
-      edge_offsets_.push_back(edge_partners_.size());
-    }
-    edge_partners_.push_back(e.second);
-  }
-  edge_offsets_.push_back(edge_partners_.size());
-
-  const auto reset_limit =
-      static_cast<std::size_t>(cfg_.repair_fraction * static_cast<double>(n));
-  for (core::NodeId s = 0; s < n; ++s) {
-    if (row_epoch_[s] != epoch_) continue;  // stale anyway: rebuilt on demand
-    const int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
-    // dmin: the closest the change comes to this source. No path of
-    // length <= dmin can traverse a changed edge, so everything at
-    // dist <= dmin (distance AND first hop) is provably unaffected.
-    // Equal-level edges are no-ops for this row and don't lower the cut:
-    // a level-d vertex is discovered while level d-1 is processed, so an
-    // edge between two level-d vertices never carries a discovery — a
-    // removed one was unused, and an added one cannot cause a first
-    // divergence from the fresh build (both ends are already discovered,
-    // identically, by the time either is processed).
-    int dmin = kUnreachable;
-    for (std::size_t h = 0; h < edge_heads_.size() && dmin > 0; ++h) {
-      const int du = dist[edge_heads_[h]];
-      for (std::size_t j = edge_offsets_[h]; j < edge_offsets_[h + 1]; ++j) {
-        const int dv = dist[edge_partners_[j]];
-        if (du == dv) continue;  // same level (or both unreachable): no-op
-        const int lo = std::min(du, dv);
-        if (lo < dmin) {
-          dmin = lo;
-          if (dmin == 0) break;  // cannot get closer to the source
-        }
-      }
-    }
-    if (dmin == kUnreachable) {
-      // Every changed edge is a no-op for this row: equal-level, or
-      // between unreachable vertices (reachability cannot grow from
-      // those — reaching a new edge would require reaching an endpoint).
-      ++stats_.rows_kept;
-      continue;
-    }
-    // Repair cost estimate: the reachable vertices past dmin that must be
-    // re-derived. Unreachable vertices don't count — if an inserted edge
-    // connects a new region, visiting it is work a full rebuild would
-    // have paid too.
-    std::size_t reset = 0;
-    for (std::size_t d = 0; d < n; ++d)
-      if (dist[d] > dmin && dist[d] != kUnreachable) ++reset;
-    if (reset > reset_limit) {
-      row_epoch_[s] = 0;  // repair would approach a rebuild: drop the row
-      --valid_rows_;
-      continue;
-    }
-    stats_.repair_visits += repair_row(s, dmin);
-    ++stats_.rows_repaired;
-  }
-  return true;
-}
-
-std::size_t LinkStateRouting::repair_row(core::NodeId s, int dmin) const {
-  const std::size_t n = snapshot_.size();
-  int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
-  core::NodeId* next = next_.data() + static_cast<std::size_t>(s) * n;
-  std::uint32_t* order = order_.data() + static_cast<std::size_t>(s) * n;
-  // Reset everything past dmin and gather the dist == dmin frontier in
-  // stored discovery order — the exact order a fresh build would process
-  // that level in, which is what makes repair bit-identical to rebuild.
-  frontier_.clear();
-  for (std::size_t d = 0; d < n; ++d) {
-    if (dist[d] > dmin) {
-      dist[d] = kUnreachable;
-      next[d] = core::kInvalidNode;
-    } else if (dist[d] == dmin) {
-      frontier_.emplace_back(order[d], static_cast<core::NodeId>(d));
-    }
-  }
-  std::sort(frontier_.begin(), frontier_.end());
-  bfs_queue_.clear();
-  for (const auto& f : frontier_) bfs_queue_.push_back(f.second);
-  // Continue the level-order walk over the reset region. Discovery order
-  // within each repaired level is assigned afresh; kept and repaired
-  // vertices never share a level (kept <= dmin < repaired), so the
-  // per-level single-pass invariant the next repair relies on holds.
-  std::uint32_t ord = 0;
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const core::NodeId u = bfs_queue_[head];
-    snapshot_.neighbors_into(u, bfs_nbrs_);
-    for (core::NodeId v : bfs_nbrs_) {
-      if (dist[v] != kUnreachable) continue;
-      dist[v] = dist[u] + 1;
-      next[v] = (u == s) ? v : next[u];
-      order[v] = ord++;
-      bfs_queue_.push_back(v);
-    }
-  }
-  return bfs_queue_.size();  // frontier seeds + re-derived vertices
 }
 
 void LinkStateRouting::maybe_oracle_refresh() const {
@@ -268,7 +72,6 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
   const std::size_t n = snapshot_.size();
   int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
   core::NodeId* next = next_.data() + static_cast<std::size_t>(s) * n;
-  std::uint32_t* order = order_.data() + static_cast<std::size_t>(s) * n;
   for (std::size_t d = 0; d < n; ++d) {
     dist[d] = kUnreachable;
     next[d] = core::kInvalidNode;
@@ -276,10 +79,7 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
   // BFS over the snapshot's unit-cost range graph, carrying the first hop
   // forward: next[v] inherits next[u] (or v itself when u is the source),
   // which walks out to the same first hop the old parent-chain walk found.
-  // The discovery order is recorded per vertex so a later repair can
-  // replay any level's frontier in exactly this order.
   dist[s] = 0;
-  order[s] = 0;
   bfs_queue_.clear();
   bfs_queue_.push_back(s);
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
@@ -289,12 +89,10 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
       if (dist[v] != kUnreachable) continue;
       dist[v] = dist[u] + 1;
       next[v] = (u == s) ? v : next[u];
-      order[v] = static_cast<std::uint32_t>(bfs_queue_.size());
       bfs_queue_.push_back(v);
     }
   }
-  row_epoch_[s] = epoch_;  // was invalid (checked on entry): one more valid
-  ++valid_rows_;
+  row_epoch_[s] = epoch_;
   ++stats_.rows_built;
 }
 

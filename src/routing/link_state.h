@@ -23,32 +23,13 @@
 // for sources that carry flows, and pays it once — refreshes and oracle
 // queries on an unchanged topology are no-ops. RoutingStats is the
 // observable contract for that claim, mirroring sim::PoolStats for the
-// data-plane pools.
-//
-// Churn model (incremental route repair): when the topology moves, the
-// view syncs by *diffing* — Topology::moved_since names the moved nodes,
-// and the changed edges are the symmetric difference of their old and
-// new adjacencies. Rows provably untouched by any changed edge are kept
-// verbatim (under small waypoint steps the common case is an empty edge
-// diff: adjacency is range-based, so a node must cross a range boundary
-// to change it). Affected rows are *repaired*, not rebuilt: with
-// dmin = min old distance over endpoints of changed edges that straddle
-// two BFS levels (equal-level edges never carry a discovery and are
-// filtered out per row), every vertex at dist <= dmin keeps its
-// dist/next (no path that short can touch a relevant changed edge), and
-// the BFS restarts from the dist == dmin frontier
-// over the reset region only — bounded-incremental SSSP in the dynamic-
-// BFS spirit. A per-row discovery-order array lets the repair replay the
-// frontier in exactly the order a from-scratch build would have used, so
-// a repaired row is bit-identical to a fresh one (next-hop tie-breaks —
-// and therefore the committed baselines — cannot drift). Oversized
-// frontiers fall back to full rebuild; rows_kept/rows_repaired/
-// repair_visits make the whole claim observable.
+// data-plane pools. Any change of topology generation re-snapshots the
+// view and invalidates every row at once (an epoch bump); the rows the
+// queries still need are rebuilt lazily, one BFS each.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -60,19 +41,6 @@ namespace jtp::routing {
 struct RoutingConfig {
   double refresh_interval_s = 5.0;  // staleness bound of the view
   bool oracle = false;              // true => view synced before every query
-  // Incremental repair of cached rows on topology change. false restores
-  // the PR 5 behavior (any generation bump discards every row); kept as
-  // a knob so the before/after cost is measurable in-tree
-  // (micro_perf BM_RouteRepairFullRebuild).
-  bool incremental = true;
-  // Fallback threshold, as a fraction of n: a sync whose *changed-edge*
-  // set exceeds it invalidates everything (one big BFS beats many
-  // patches), and a row whose reset region exceeds it is dropped and
-  // lazily rebuilt instead of repaired. The gate reads the edge diff,
-  // not the mover count: a batched sync over a slow waypoint field marks
-  // nearly every node as moved while changing almost no adjacency, and
-  // falling back there would forfeit exactly the syncs repair is for.
-  double repair_fraction = 0.75;
 };
 
 // Control-plane work accounting. In steady state on a static topology,
@@ -82,19 +50,10 @@ struct RoutingConfig {
 struct RoutingStats {
   std::uint64_t refreshes = 0;     // view syncs (periodic + forced + ctor)
   std::uint64_t snapshots = 0;     // syncs that saw a new topology generation
-                                   // (incremental diff or full re-copy)
   std::uint64_t rows_built = 0;    // per-source BFS row computations
   std::uint64_t row_reuses = 0;    // queries served from an existing row
   std::uint64_t oracle_skips = 0;  // oracle syncs skipped: generation
                                    // unchanged since the current snapshot
-  // Incremental-repair accounting. Under mobility, rows_kept +
-  // rows_repaired > 0 is the proof that topology change no longer
-  // discards the whole cache; repair_visits / rows_repaired is the mean
-  // patched-subtree size (vs n for a full rebuild).
-  std::uint64_t rows_kept = 0;      // valid rows untouched by any changed
-                                    // edge, survived a sync verbatim
-  std::uint64_t rows_repaired = 0;  // valid rows patched below the change
-  std::uint64_t repair_visits = 0;  // vertices visited across all repairs
 };
 
 class LinkStateRouting {
@@ -127,19 +86,9 @@ class LinkStateRouting {
 
  private:
   void maybe_oracle_refresh() const;
+  // Re-copies the snapshot and bumps the epoch when the topology
+  // generation moved; a no-op otherwise.
   void sync_view() const;
-  // Full-invalidation sync: re-copy the snapshot, bump the epoch.
-  void sync_full() const;
-  // Diff sync against `moved`: updates the snapshot in place, computes
-  // the changed-edge endpoint set, and keeps/repairs/drops each valid
-  // row. Returns false when the diff is too large to be worth it (the
-  // caller falls back to sync_full).
-  bool sync_incremental(const std::vector<core::NodeId>& moved) const;
-  // Patches row `s` below the changed edges: keeps every vertex at
-  // dist <= dmin, re-runs BFS over the reset region from the dist==dmin
-  // frontier (in stored discovery order, so the result is bit-identical
-  // to a fresh build). Returns the vertices visited.
-  std::size_t repair_row(core::NodeId s, int dmin) const;
   // Builds the dist/next row for source `s` against the snapshot if it is
   // not already valid for the current view epoch.
   void ensure_row(core::NodeId s) const;
@@ -156,37 +105,14 @@ class LinkStateRouting {
 
   // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
   // on a shortest path. A row is valid iff row_epoch_[s] == epoch_.
-  // order_[s*n + d] records the BFS discovery order of d within its
-  // distance level — the state a repair needs to replay the frontier in
-  // fresh-build order (within a level the order is always assigned by a
-  // single build or repair pass, so values are comparable).
   mutable std::vector<int> dist_;
   mutable std::vector<core::NodeId> next_;
-  mutable std::vector<std::uint32_t> order_;
   mutable std::vector<std::uint64_t> row_epoch_;
   mutable std::uint64_t epoch_ = 1;
-  mutable std::size_t valid_rows_ = 0;  // rows with row_epoch_ == epoch_
 
-  // BFS + diff scratch (reused across syncs; no steady-state allocation).
+  // BFS scratch (reused across builds; no steady-state allocation).
   mutable std::vector<core::NodeId> bfs_queue_;
   mutable std::vector<core::NodeId> bfs_nbrs_;
-  mutable std::vector<core::NodeId> moved_scratch_;
-  mutable std::vector<core::NodeId> old_nbrs_flat_;
-  mutable std::vector<std::size_t> old_nbrs_offset_;
-  // Edges added/removed by the last incremental sync. Kept as pairs: a
-  // changed edge whose endpoints sit at the same BFS level of a row is a
-  // no-op for that row (equal-level edges never carry a discovery), so
-  // the keep/repair decision filters per row at edge granularity.
-  mutable std::vector<std::pair<core::NodeId, core::NodeId>> changed_edges_;
-  // The changed-edge set bucketed per endpoint (CSR over the deduplicated
-  // normalized edges), rebuilt once per incremental sync. The per-row
-  // dmin scan walks it endpoint-first — one dist load per endpoint, one
-  // per partner — instead of re-deriving both endpoints of every
-  // (duplicated) raw pair for every cached row.
-  mutable std::vector<core::NodeId> edge_heads_;
-  mutable std::vector<std::size_t> edge_offsets_;
-  mutable std::vector<core::NodeId> edge_partners_;
-  mutable std::vector<std::pair<std::uint32_t, core::NodeId>> frontier_;
 
   mutable RoutingStats stats_;
   bool started_ = false;

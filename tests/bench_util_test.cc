@@ -117,9 +117,43 @@ TEST(ParseArgs, ScenarioFlagRejectsProtoAndSeedKeys) {
 
 TEST(SweepOr, CollapsesOnlyWhenOverridden) {
   const std::vector<std::size_t> sweep{2, 4, 8};
-  EXPECT_EQ(sweep_or<std::size_t>(5, 5, sweep), sweep);  // untouched
-  EXPECT_EQ(sweep_or<std::size_t>(12, 5, sweep),
+  Options o;
+  EXPECT_EQ(sweep_or<std::size_t>(o, "net_size", 5, sweep), sweep);
+  o.scenario = "net_size=12";
+  EXPECT_EQ(sweep_or<std::size_t>(o, "net_size", 12, sweep),
             std::vector<std::size_t>{12});  // override wins
+}
+
+// The collapse keys on the token, not on the value: an explicit
+// key=value equal to the bench default still pins the sweep to it.
+TEST(SweepOr, DefaultValuedKeyStillCollapses) {
+  const auto scale = exp::preset("scale");
+  const std::vector<mac::Mac> macs{mac::Mac::kTdma, mac::Mac::kTdmaReuse,
+                                   mac::Mac::kCsma};
+  Options o;
+  o.scenario = "scale_mobile, net_size = 100 ,mac=tdma";
+  EXPECT_EQ(sweep_or(o, "mac", scale.mac, macs),
+            std::vector<mac::Mac>{mac::Mac::kTdma});
+  EXPECT_EQ(sweep_or<std::size_t>(o, "net_size", scale.net_size, {100, 400}),
+            std::vector<std::size_t>{100});
+}
+
+TEST(SweepOr, UnsetKeyKeepsTheSweep) {
+  Options o;
+  o.scenario = "net_size=12,speed=1";
+  EXPECT_EQ(sweep_or<std::size_t>(o, "cache_size", 8, {1, 8}),
+            (std::vector<std::size_t>{1, 8}));
+  // A key is matched whole, never by prefix or by its value.
+  o.scenario = "net_size_x=1,mac=net_size";
+  EXPECT_FALSE(scenario_sets(o, "net_size"));
+}
+
+TEST(SweepOr, PresetTokenAloneKeepsTheSweep) {
+  Options o;
+  o.scenario = "scale_mobile";
+  EXPECT_FALSE(scenario_sets(o, "speed"));
+  EXPECT_EQ(sweep_or(o, "speed", 1.0, {0.1, 1.0, 5.0}),
+            (std::vector<double>{0.1, 1.0, 5.0}));
 }
 
 TEST(Options, ProtoHelpers) {

@@ -118,7 +118,7 @@ TEST(LinkStateRouting, RejectsBadRefresh) {
   EXPECT_THROW(LinkStateRouting(sim, topo, cfg), std::invalid_argument);
 }
 
-// --- lazy/incremental equivalence ------------------------------------------
+// --- lazy-row equivalence -------------------------------------------------
 
 phy::Topology random_field(std::size_t n, double side, sim::Rng& rng) {
   phy::Topology t(n, 40.0);
@@ -190,35 +190,31 @@ TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
   (void)r.next_hop(7, 3);
   EXPECT_EQ(r.stats().rows_built, 2u);
   EXPECT_EQ(r.stats().snapshots, 1u);
-  // A small position write (no range boundary crossed, so no edge
-  // changed) syncs the view but keeps every cached row verbatim.
+  // A position write that crosses no range boundary still moves the
+  // topology generation: the view re-snapshots and every row goes stale,
+  // so each queried row rebuilds exactly once.
   topo.set_position(10, {10.0 * 30.0, 1.0});
   r.refresh();
   EXPECT_EQ(r.stats().snapshots, 2u);
-  EXPECT_EQ(r.stats().rows_kept, 2u);
   (void)r.next_hop(0, 49);
   (void)r.next_hop(7, 3);
-  EXPECT_EQ(r.stats().rows_built, 2u);  // both rows survived the move
-  // Breaking the chain near its end changes edges, but the reset region
-  // (the few nodes past the break) is small: both rows are repaired in
-  // place, and answers in the kept region are untouched.
+  (void)r.next_hop(0, 49);
+  (void)r.next_hop(7, 3);
+  EXPECT_EQ(r.stats().rows_built, 4u);
+  // Rebuilt rows answer from the new view.
   topo.set_position(45, {45.0 * 30.0, 500.0});
   r.refresh();
-  EXPECT_EQ(r.stats().rows_repaired, 2u);
   EXPECT_FALSE(r.next_hop(0, 49).has_value());
   EXPECT_EQ(r.next_hop(7, 3), 6u);
-  EXPECT_EQ(r.stats().rows_built, 2u);  // still no from-scratch build
-  EXPECT_LE(r.stats().repair_visits, 2u * 8u);  // bounded by the subtrees
+  EXPECT_EQ(r.stats().rows_built, 6u);
 }
 
-// --- incremental repair ----------------------------------------------------
-
-// The central equivalence oracle for incremental repair: random
-// interleavings of small moves (wiggles that rarely change adjacency),
-// range-crossing moves, teleports, mass churn, queries against stale
-// views, and refreshes — after every refresh the repaired/kept/rebuilt
-// rows must agree with a freshly built router on every pair.
-TEST(LinkStateRouting, IncrementalRepairMatchesFreshAcrossInterleavings) {
+// The equivalence oracle under mixed churn: random interleavings of small
+// moves (wiggles that rarely change adjacency), range-crossing moves,
+// teleports, mass churn, queries against stale views, and refreshes —
+// after every refresh the rows must agree with a freshly built router on
+// every pair.
+TEST(LinkStateRouting, RowsMatchFreshAcrossInterleavings) {
   sim::Rng rng(23);
   sim::Simulator sim;
   const double side = 200.0;
@@ -246,160 +242,13 @@ TEST(LinkStateRouting, IncrementalRepairMatchesFreshAcrossInterleavings) {
           break;
       }
       // Queries against the stale view partially materialize rows that
-      // the next sync must then keep, repair, or drop correctly.
+      // the next sync must invalidate.
       (void)r.next_hop(pick(), pick());
       (void)r.hops(pick(), pick());
     }
     r.refresh();
-    expect_matches_fresh(r, topo, "after incremental refresh");
+    expect_matches_fresh(r, topo, "after refresh");
   }
-  // The sweep must actually have exercised the repair machinery.
-  EXPECT_GT(r.stats().rows_kept + r.stats().rows_repaired, 0u);
-  EXPECT_GT(r.stats().rows_repaired, 0u);
-}
-
-// Same interleavings with repair disabled: the PR 5 full-invalidation
-// path must still be selectable and correct (it is also the fallback).
-TEST(LinkStateRouting, FullRebuildModeStaysCorrect) {
-  sim::Rng rng(29);
-  sim::Simulator sim;
-  auto topo = random_field(25, 160.0, rng);
-  RoutingConfig cfg;
-  cfg.incremental = false;
-  LinkStateRouting r(sim, topo, cfg);
-  for (int round = 0; round < 10; ++round) {
-    for (int m = 0; m < 3; ++m) {
-      const auto id = static_cast<core::NodeId>(rng.integer(25));
-      const auto p = topo.position(id);
-      topo.set_position(id, {p.x + rng.uniform(-5.0, 5.0),
-                             p.y + rng.uniform(-5.0, 5.0)});
-      (void)r.next_hop(static_cast<core::NodeId>(rng.integer(25)),
-                       static_cast<core::NodeId>(rng.integer(25)));
-    }
-    r.refresh();
-    expect_matches_fresh(r, topo, "full-rebuild mode");
-  }
-  EXPECT_EQ(r.stats().rows_kept, 0u);
-  EXPECT_EQ(r.stats().rows_repaired, 0u);
-}
-
-// repair_fraction = 0 forces the drop/full-invalidate fallback on every
-// change; correctness must not depend on repair ever running.
-TEST(LinkStateRouting, ZeroRepairFractionAlwaysFallsBack) {
-  sim::Rng rng(31);
-  sim::Simulator sim;
-  auto topo = random_field(25, 160.0, rng);
-  RoutingConfig cfg;
-  cfg.repair_fraction = 0.0;
-  LinkStateRouting r(sim, topo, cfg);
-  for (int round = 0; round < 10; ++round) {
-    const auto id = static_cast<core::NodeId>(rng.integer(25));
-    topo.set_position(id, {rng.uniform(0.0, 160.0), rng.uniform(0.0, 160.0)});
-    (void)r.next_hop(static_cast<core::NodeId>(rng.integer(25)),
-                     static_cast<core::NodeId>(rng.integer(25)));
-    r.refresh();
-    expect_matches_fresh(r, topo, "zero repair fraction");
-  }
-  EXPECT_EQ(r.stats().rows_repaired, 0u);
-}
-
-// Overflowing the topology's bounded move ring between refreshes must
-// not force a full re-snapshot: the mover list is only a locator hint,
-// so the router widens it to every node and lets the changed-edge diff
-// price the actual rewiring. Small wiggles that overflow the log by
-// sheer count still keep or repair the cached rows — and still match a
-// fresh router exactly.
-TEST(LinkStateRouting, MoveRingOverflowStillRepairsIncrementally) {
-  sim::Rng rng(37);
-  sim::Simulator sim;
-  auto topo = random_field(20, 140.0, rng);
-  LinkStateRouting r(sim, topo);
-  (void)r.next_hop(0, 19);
-  const auto cap = topo.move_history_capacity();
-  for (std::size_t i = 0; i < cap + 5; ++i) {
-    const auto id = static_cast<core::NodeId>(rng.integer(20));
-    const auto p = topo.position(id);
-    topo.set_position(id, {p.x + rng.uniform(-1.0, 1.0), p.y});
-  }
-  r.refresh();
-  expect_matches_fresh(r, topo, "after ring overflow");
-  EXPECT_GT(r.stats().rows_kept + r.stats().rows_repaired, 0u);
-}
-
-// The acceptance gate at production scale: 8 active sources on a 400-node
-// field, one node takes one small waypoint step — the cached rows must
-// survive (kept or repaired), never be rebuilt from scratch.
-TEST(LinkStateRouting, SingleNodeMovesAt400KeepOrRepairRows) {
-  sim::Rng rng(41);
-  sim::Simulator sim;
-  auto topo = random_field(400, 600.0, rng);
-  LinkStateRouting r(sim, topo);
-  for (core::NodeId s = 1; s <= 8; ++s) (void)r.next_hop(s, 0);
-  const auto built = r.stats().rows_built;
-  EXPECT_EQ(built, 8u);
-  for (int i = 0; i < 20; ++i) {
-    const auto id = static_cast<core::NodeId>(rng.integer(400));
-    const auto p = topo.position(id);
-    topo.set_position(id, {p.x + rng.uniform(-1.0, 1.0),
-                           p.y + rng.uniform(-1.0, 1.0)});
-    r.refresh();
-    for (core::NodeId s = 1; s <= 8; ++s) (void)r.next_hop(s, 0);
-  }
-  EXPECT_GT(r.stats().rows_kept + r.stats().rows_repaired, 0u);
-  // No move may force a from-scratch rebuild of a surviving row; at most
-  // the rare dropped row (oversized reset region) rebuilds on query.
-  EXPECT_LE(r.stats().rows_built, built + 2);
-  // Repairs stay bounded: on average under half a full row's n visits
-  // (the no-op edge filter keeps the cheap cases out of the mean, so the
-  // repairs that remain are the genuinely affected subtrees).
-  if (r.stats().rows_repaired > 0) {
-    EXPECT_LT(r.stats().repair_visits / r.stats().rows_repaired, 400u / 2);
-  }
-}
-
-// Batched scattered churn: one refresh sees most of the field marked as
-// moved (a 5 s refresh over a 1 m/s waypoint field batches five update
-// ticks of nearly every node) while almost no adjacency changes. The
-// fallback gate must read the edge diff, not the mover count — tripping
-// on movers would forfeit the cache on exactly the syncs repair exists
-// for.
-TEST(LinkStateRouting, BatchedScatteredChurnKeepsRows) {
-  sim::Rng rng(43);
-  sim::Simulator sim;
-  auto topo = random_field(400, 600.0, rng);
-  LinkStateRouting r(sim, topo);
-  for (core::NodeId s = 1; s <= 8; ++s) (void)r.next_hop(s, 0);
-  const auto built = r.stats().rows_built;
-  for (int round = 0; round < 5; ++round) {
-    // 350 movers per sync: far past any mover-count gate at 0.75 * n.
-    // Small steps keep the *edge* diff scattered and sparse — the
-    // realistic shape of a batched waypoint tick, and the shape the
-    // edge-count gate must wave through.
-    for (int i = 0; i < 350; ++i) {
-      const auto id = static_cast<core::NodeId>(rng.integer(400));
-      const auto p = topo.position(id);
-      topo.set_position(id, {p.x + rng.uniform(-0.02, 0.02),
-                             p.y + rng.uniform(-0.02, 0.02)});
-    }
-    r.refresh();
-    for (core::NodeId s = 1; s <= 8; ++s) (void)r.next_hop(s, 0);
-  }
-  // Every sync kept or repaired the live rows instead of invalidating:
-  // 8 rows x 5 syncs, allowing the rare dropped row to rebuild on query.
-  // (Stats snapshot taken before the oracle sweep below, which builds
-  // every remaining row.)
-  const auto st = r.stats();
-  EXPECT_GE(st.rows_kept + st.rows_repaired, 8u * 5u - 5u);
-  EXPECT_LE(st.rows_built, built + 5);
-  expect_matches_fresh(r, topo, "after batched churn");
-}
-
-TEST(LinkStateRouting, RejectsBadRepairFraction) {
-  sim::Simulator sim;
-  auto topo = phy::Topology::linear(3, 30.0, 40.0);
-  RoutingConfig cfg;
-  cfg.repair_fraction = 1.5;
-  EXPECT_THROW(LinkStateRouting(sim, topo, cfg), std::invalid_argument);
 }
 
 TEST(LinkStateRouting, OracleUnchangedTopologyNeverRecomputes) {

@@ -30,13 +30,11 @@ using net::TransportRegistry;
 
 TEST(Proto, NamesRoundTrip) {
   for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpFf, Proto::kJtpDr, Proto::kBbr}) {
+                 Proto::kJtpDr, Proto::kBbr}) {
     const auto back = parse_proto(proto_name(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
   }
-  // Legacy spelling from the variant's test-local era stays parseable.
-  EXPECT_EQ(parse_proto("jtp-ff"), Proto::kJtpFf);
   EXPECT_FALSE(parse_proto("").has_value());
   EXPECT_FALSE(parse_proto("JTP").has_value());  // names are lowercase
   EXPECT_FALSE(parse_proto("udp").has_value());
@@ -45,9 +43,9 @@ TEST(Proto, NamesRoundTrip) {
 TEST(Registry, BuiltinsAreRegistered) {
   auto& reg = TransportRegistry::instance();
   for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpFf, Proto::kJtpDr, Proto::kBbr})
+                 Proto::kJtpDr, Proto::kBbr})
     EXPECT_TRUE(reg.registered(p)) << proto_name(p);
-  EXPECT_GE(reg.protos().size(), 7u);
+  EXPECT_GE(reg.protos().size(), 6u);
 }
 
 TEST(Registry, HopPoliciesAndCachingMatchTheProtocols) {
@@ -56,9 +54,8 @@ TEST(Registry, HopPoliciesAndCachingMatchTheProtocols) {
   EXPECT_EQ(reg.info(Proto::kJnc).hop_policy, HopPolicy::kIjtp);
   EXPECT_EQ(reg.info(Proto::kTcp).hop_policy, HopPolicy::kPlain);
   EXPECT_EQ(reg.info(Proto::kAtp).hop_policy, HopPolicy::kRateStamp);
-  // The JTP variants keep full in-network help; BBR rides the plain
+  // The JTP variant keeps full in-network help; BBR rides the plain
   // TCP-style path.
-  EXPECT_EQ(reg.info(Proto::kJtpFf).hop_policy, HopPolicy::kIjtp);
   EXPECT_EQ(reg.info(Proto::kJtpDr).hop_policy, HopPolicy::kIjtp);
   EXPECT_EQ(reg.info(Proto::kBbr).hop_policy, HopPolicy::kPlain);
   EXPECT_TRUE(reg.caching_enabled(Proto::kJtp));
@@ -221,10 +218,9 @@ TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
 //
 // ROADMAP: "register an experimental protocol variant through the
 // registry to prove the extension seam". That proof has since been
-// promoted into the production registry three times over: kJtpFf (JTP
-// with constant-rate "fixed feedback" ACKing), kJtpDr (JTP's PI²/MD fed
-// by a sender-side delivery-rate estimate) and kBbr (model-based pacing
-// over the TCP-SACK feedback channel) each became a first-class
+// promoted into the production registry twice over: kJtpDr (JTP's PI²/MD
+// fed by a sender-side delivery-rate estimate) and kBbr (model-based
+// pacing over the TCP-SACK feedback channel) each became a first-class
 // protocol through exactly one TransportRegistry::add() call in the
 // registry's own constructor — no edits to Network, Node, FlowManager,
 // or any existing factory. The tests below pin down that each variant
@@ -232,22 +228,6 @@ TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
 // Network::add_flow entry points as the original four, and that the
 // endpoints behind the unified FlowHandle are the expected concrete
 // types with the expected behavior.
-
-TEST(ExtensionSeam, FixedFeedbackVariantIsABuiltin) {
-  ASSERT_TRUE(TransportRegistry::instance().registered(Proto::kJtpFf));
-
-  auto s = exp::build(parity_spec(Proto::kJtpFf));
-  s.network->run_until(1500.0);
-  const auto& flow = *s.flows->flows().front();
-  EXPECT_TRUE(flow.finished());
-  EXPECT_GT(flow.delivered_packets(), 0u);
-
-  // And it really is the variant: an eJTP receiver in constant-feedback
-  // mode, advertising the fixed 2-second period.
-  const auto* rcv = flow.receiver_as<core::EjtpReceiver>();
-  ASSERT_NE(rcv, nullptr);
-  EXPECT_DOUBLE_EQ(rcv->current_feedback_period(), 2.0);
-}
 
 TEST(ExtensionSeam, JtpDrWrapsAnEjtpFlowAndEstimatesBandwidth) {
   auto s = exp::build(parity_spec(Proto::kJtpDr));
