@@ -247,10 +247,11 @@ BENCHMARK(BM_BbrStateMachine);
 
 // ---------------------------------------------------------------------------
 // Control-plane kernels: neighbor queries and routing refresh at small
-// (paper, n=25) and production (n=400) scales. BM_RoutingRefresh models
-// the steady-state control-plane work of a mobile scenario: one node
-// moves, the view refreshes, and the handful of sources with live flows
-// look up their next hops.
+// (paper, n=25) and production (n=400, 1000) scales. BM_RoutingRefresh
+// models the control-plane work of a mobile scenario, one refresh per
+// move: one node moves, the view re-snapshots its adjacency lists, and
+// the handful of sources with live flows rebuild their rows to look up
+// their next hops.
 // ---------------------------------------------------------------------------
 
 phy::Topology scale_field(std::size_t n, sim::Rng& rng) {
@@ -291,7 +292,11 @@ void BM_RoutingRefresh(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RoutingRefresh)->Arg(25)->Arg(400)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RoutingRefresh)
+    ->Arg(25)
+    ->Arg(400)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
 
 // The per-MAC-attempt channel path: transmission_lost on a warm link set
 // sized like a 400-node field (~4 links/node). One iteration = one dwell

@@ -54,6 +54,7 @@ struct ScaleRun {
   double refreshes = 0.0;
   double snapshots = 0.0;
   double jain = 0.0;
+  double done = 0.0;
   double p99_s = 0.0;
   double rows_built = 0.0;
   double row_reuses = 0.0;
@@ -84,6 +85,7 @@ ScaleRun one_run(exp::ScenarioSpec spec, std::size_t n, std::uint64_t seed,
   r.colors = static_cast<double>(ms.colors_used);
   r.reuse = ms.reuse_factor;
   r.jain = m.jain_fairness;
+  r.done = static_cast<double>(m.flows_completed);
   r.p99_s = m.p99_completion_s;
   r.refreshes = static_cast<double>(rs.refreshes);
   r.snapshots = static_cast<double>(rs.snapshots);
@@ -176,6 +178,7 @@ int main(int argc, char** argv) {
                                                   // they stay in the
                                                   // --deterministic set
                                                   {"jain", 3},
+                                                  {"done", 1},
                                                   {"p99_done_s", 1}})
       cols.push_back(c);
     if (!deterministic)
@@ -218,6 +221,7 @@ int main(int argc, char** argv) {
       row.push_back(mean_of(runs, &ScaleRun::refreshes));
       row.push_back(mean_of(runs, &ScaleRun::snapshots));
       row.push_back(mean_of(runs, &ScaleRun::jain));
+      row.push_back(mean_of(runs, &ScaleRun::done));
       row.push_back(mean_of(runs, &ScaleRun::p99_s));
       if (!deterministic) {
         row.push_back(mean_of(runs, &ScaleRun::rows_built));
@@ -252,6 +256,7 @@ int main(int argc, char** argv) {
                                                     {"refreshes", 0},
                                                     {"snapshots", 0},
                                                     {"jain", 3},
+                                                    {"done", 1},
                                                     {"p99_done_s", 1}})
         cols.push_back(c);
       if (!deterministic) cols.push_back({"rows_built", 0});
@@ -274,6 +279,7 @@ int main(int argc, char** argv) {
         row.push_back(mean_of(runs, &ScaleRun::refreshes));
         row.push_back(mean_of(runs, &ScaleRun::snapshots));
         row.push_back(mean_of(runs, &ScaleRun::jain));
+        row.push_back(mean_of(runs, &ScaleRun::done));
         row.push_back(mean_of(runs, &ScaleRun::p99_s));
         if (!deterministic)
           row.push_back(mean_of(runs, &ScaleRun::rows_built));

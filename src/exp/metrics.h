@@ -31,10 +31,13 @@ struct RunMetrics {
   // (1 = perfectly fair, 1/n = one flow starves the rest; 0 only when
   // nothing was delivered at all), and the p99 (nearest-rank) completion
   // latency over flows that finished their bounded transfer (0 when none
-  // did — e.g. long-lived on_off/fan_in flows). Both are pure functions
-  // of per-flow counters, hence K-invariant under sharding.
+  // did — e.g. long-lived on_off/fan_in flows), beside the number of flows
+  // that finished, so that a p99 of 0 cannot be read as "instant". All
+  // three are pure functions of per-flow counters, hence K-invariant
+  // under sharding.
   double jain_fairness = 0.0;
   double p99_completion_s = 0.0;
+  std::uint64_t flows_completed = 0;
 
   // µJ per delivered application bit; 0 when nothing was delivered.
   double energy_per_bit_uj() const {

@@ -92,6 +92,7 @@ RunMetrics FlowManager::collect(double duration_s) const {
     m.jain_fairness = fair_sum * fair_sum /
                       (static_cast<double>(flows_.size()) * fair_sq);
   // p99 completion latency, nearest-rank, over finished transfers.
+  m.flows_completed = completions.size();
   if (!completions.empty()) {
     std::sort(completions.begin(), completions.end());
     const std::size_t rank =

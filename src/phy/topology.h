@@ -64,8 +64,9 @@ class Topology {
   bool in_range(core::NodeId a, core::NodeId b) const;
   std::vector<core::NodeId> neighbors(core::NodeId id) const;
 
-  // Allocation-free variant for hot loops (routing BFS): clears `out` and
-  // fills it with the in-range ids in ascending order — the same order
+  // Allocation-free variant for per-node loops (the routing view's
+  // adjacency snapshot, interference witnesses, connected()): clears `out`
+  // and fills it with the in-range ids in ascending order — the same order
   // the full-scan implementation produced, which the routing tie-breaks
   // (and therefore the committed baselines) depend on.
   void neighbors_into(core::NodeId id, std::vector<core::NodeId>& out) const;

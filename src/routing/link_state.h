@@ -15,10 +15,12 @@
 // the paper's metric ("we will not consider the energy consumed for
 // network maintenance by the lower layers").
 //
-// Scale model: a refresh is an O(n) position snapshot, not an all-pairs
-// recompute. Shortest-path rows are flat, contiguous and per-source, built
-// lazily the first time a source is queried against the current snapshot
-// and kept until the snapshot actually changes (tracked by the topology's
+// Scale model: a refresh that sees a new topology generation snapshots
+// the range graph as flat adjacency lists — one grid neighbor query per
+// node, O(n + edges) — not an all-pairs recompute. Shortest-path rows are
+// flat, contiguous and per-source, built lazily the first time a source is
+// queried against the current snapshot by a BFS over those lists, and kept
+// until the snapshot actually changes (tracked by the topology's
 // generation counter). A static 1000-node field therefore pays BFS only
 // for sources that carry flows, and pays it once — refreshes and oracle
 // queries on an unchanged topology are no-ops. RoutingStats is the
@@ -86,7 +88,10 @@ class LinkStateRouting {
 
  private:
   void maybe_oracle_refresh() const;
-  // Re-copies the snapshot and bumps the epoch when the topology
+  // Rebuilds the adjacency lists from the live topology and records its
+  // generation.
+  void snapshot() const;
+  // Re-snapshots the view and bumps the epoch when the topology
   // generation moved; a no-op otherwise.
   void sync_view() const;
   // Builds the dist/next row for source `s` against the snapshot if it is
@@ -97,11 +102,17 @@ class LinkStateRouting {
   const phy::Topology& topo_;
   RoutingConfig cfg_;
 
-  // The view: a copy of the topology as of the last refresh that observed
-  // a change. Queries never touch the live topology, so lazy row builds
-  // see exactly what an eager refresh-time recompute would have seen.
-  mutable phy::Topology snapshot_;
-  mutable std::uint64_t snapshot_gen_;
+  // The view: the range graph as of the last refresh that observed a
+  // change, as flat adjacency lists (CSR): the neighbors of u are
+  // adj_[adj_off_[u] .. adj_off_[u + 1]), in the ascending order
+  // Topology::neighbors_into returns, which the BFS tie-breaks (and so
+  // every route) depend on. The lists are built when the view syncs, never
+  // at first query: queries never touch the live topology, so lazy row
+  // builds see exactly what an eager refresh-time recompute would have
+  // seen.
+  mutable std::vector<std::size_t> adj_off_;  // n + 1 offsets into adj_
+  mutable std::vector<core::NodeId> adj_;
+  mutable std::uint64_t snapshot_gen_ = 0;
 
   // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
   // on a shortest path. A row is valid iff row_epoch_[s] == epoch_.
@@ -112,7 +123,6 @@ class LinkStateRouting {
 
   // BFS scratch (reused across builds; no steady-state allocation).
   mutable std::vector<core::NodeId> bfs_queue_;
-  mutable std::vector<core::NodeId> bfs_nbrs_;
 
   mutable RoutingStats stats_;
   bool started_ = false;

@@ -359,6 +359,24 @@ TEST(FlowManager, GoodputUsesCompletionTime) {
   EXPECT_NEAR(m.per_flow_goodput_kbps_mean, expect_kbps, 1e-9);
 }
 
+// The completion count tells "no flow finished" apart from "finished
+// instantly", which a p99 of 0 alone cannot.
+TEST(FlowManager, CompletionCountSitsBesideP99) {
+  auto run = [](const std::string& text, double horizon) {
+    const auto r = parse_scenario(text);
+    EXPECT_TRUE(r.ok()) << r.error;
+    auto s = build(r.spec);
+    s.network->run_until(horizon);
+    return s.flows->collect(horizon);
+  };
+  const auto done = run("linear,transfer=50", 600.0);
+  EXPECT_EQ(done.flows_completed, 2u);
+  EXPECT_GT(done.p99_completion_s, 0.0);
+  const auto none = run("scale,net_size=100", 60.0);
+  EXPECT_EQ(none.flows_completed, 0u);
+  EXPECT_DOUBLE_EQ(none.p99_completion_s, 0.0);
+}
+
 TEST(FlowManager, DelayedStartHonored) {
   auto s = build(quiet());
   auto& flow = s.flows->create(0, 2, 0, /*start_delay_s=*/100.0);
@@ -635,6 +653,7 @@ TEST(ShardDeterminism, DeliveryRateProtosAreBitIdenticalAcrossShardCounts) {
                        ref.per_flow_goodput_kbps_mean);
       EXPECT_DOUBLE_EQ(got.jain_fairness, ref.jain_fairness);
       EXPECT_DOUBLE_EQ(got.p99_completion_s, ref.p99_completion_s);
+      EXPECT_EQ(got.flows_completed, ref.flows_completed);
       EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
     }
   }

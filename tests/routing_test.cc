@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "phy/topology.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -127,22 +130,78 @@ phy::Topology random_field(std::size_t n, double side, sim::Rng& rng) {
   return t;
 }
 
-// The oracle: a freshly constructed router answers every query from an
-// up-to-date view, with rows built in plain query order. The lazy router
-// must agree on next_hop/hops/path for every pair, no matter which rows
-// its past interleavings already materialized.
-void expect_matches_fresh(const LinkStateRouting& r,
-                          const phy::Topology& topo, const char* context) {
-  sim::Simulator fresh_sim;
-  LinkStateRouting fresh(fresh_sim, topo);
+// The oracle: all-pairs routes of the live topology, computed without any
+// of the router's machinery. Adjacency comes from an O(n²) in_range scan
+// in ascending id (no grid, no flat lists), and each source gets a plain
+// BFS that carries the first hop forward. A wrong offset, a dropped
+// neighbor or an unsorted list in the router's view shows up as a
+// mismatch here.
+class Reference {
+ public:
+  explicit Reference(const phy::Topology& topo)
+      : n_(topo.size()),
+        dist_(n_ * n_, -1),
+        next_(n_ * n_, core::kInvalidNode) {
+    std::vector<std::vector<core::NodeId>> adj(n_);
+    for (core::NodeId u = 0; u < n_; ++u)
+      for (core::NodeId v = 0; v < n_; ++v)
+        if (topo.in_range(u, v)) adj[u].push_back(v);
+    for (core::NodeId s = 0; s < n_; ++s) {
+      int* dist = &dist_[s * n_];
+      core::NodeId* next = &next_[s * n_];
+      std::vector<core::NodeId> queue{s};
+      dist[s] = 0;
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const core::NodeId u = queue[head];
+        for (const core::NodeId v : adj[u]) {
+          if (dist[v] >= 0) continue;
+          dist[v] = dist[u] + 1;
+          next[v] = u == s ? v : next[u];
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+
+  std::optional<core::NodeId> next_hop(core::NodeId s, core::NodeId d) const {
+    const core::NodeId h = next_[s * n_ + d];
+    if (s == d || h == core::kInvalidNode) return std::nullopt;
+    return h;
+  }
+  std::optional<int> hops(core::NodeId s, core::NodeId d) const {
+    const int h = dist_[s * n_ + d];
+    if (h < 0) return std::nullopt;
+    return h;
+  }
+  // Hop by hop, each hop answering from its own row, as a router does.
+  std::optional<std::vector<core::NodeId>> path(core::NodeId s,
+                                                core::NodeId d) const {
+    if (!hops(s, d)) return std::nullopt;
+    std::vector<core::NodeId> p{s};
+    while (p.back() != d) p.push_back(*next_hop(p.back(), d));
+    return p;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<int> dist_;
+  std::vector<core::NodeId> next_;
+};
+
+// The router must agree with the reference on next_hop/hops/path for
+// every pair, no matter which rows its past interleavings already
+// materialized.
+void expect_matches_reference(const LinkStateRouting& r,
+                              const phy::Topology& topo, const char* context) {
+  const Reference ref(topo);
   const auto n = topo.size();
   for (core::NodeId s = 0; s < n; ++s) {
     for (core::NodeId d = 0; d < n; ++d) {
-      EXPECT_EQ(r.next_hop(s, d), fresh.next_hop(s, d))
+      EXPECT_EQ(r.next_hop(s, d), ref.next_hop(s, d))
           << context << ": next_hop(" << s << "," << d << ")";
-      EXPECT_EQ(r.hops(s, d), fresh.hops(s, d))
+      EXPECT_EQ(r.hops(s, d), ref.hops(s, d))
           << context << ": hops(" << s << "," << d << ")";
-      EXPECT_EQ(r.path(s, d), fresh.path(s, d))
+      EXPECT_EQ(r.path(s, d), ref.path(s, d))
           << context << ": path(" << s << "," << d << ")";
     }
   }
@@ -153,7 +212,7 @@ TEST(LinkStateRouting, LazyRowsMatchFullRecomputeAcrossChurn) {
   sim::Simulator sim;
   auto topo = random_field(30, 180.0, rng);
   LinkStateRouting r(sim, topo);
-  expect_matches_fresh(r, topo, "initial");
+  expect_matches_reference(r, topo, "initial");
   for (int round = 0; round < 20; ++round) {
     // Churn: move a few nodes, interleaved with queries that partially
     // materialize rows against the *stale* view (they must not leak into
@@ -168,7 +227,7 @@ TEST(LinkStateRouting, LazyRowsMatchFullRecomputeAcrossChurn) {
                    static_cast<core::NodeId>(rng.integer(topo.size())));
     }
     r.refresh();
-    expect_matches_fresh(r, topo, "after refresh");
+    expect_matches_reference(r, topo, "after refresh");
   }
 }
 
@@ -212,8 +271,8 @@ TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
 // The equivalence oracle under mixed churn: random interleavings of small
 // moves (wiggles that rarely change adjacency), range-crossing moves,
 // teleports, mass churn, queries against stale views, and refreshes —
-// after every refresh the rows must agree with a freshly built router on
-// every pair.
+// after every refresh the rows must agree with the brute-force reference
+// on every pair.
 TEST(LinkStateRouting, RowsMatchFreshAcrossInterleavings) {
   sim::Rng rng(23);
   sim::Simulator sim;
@@ -247,8 +306,57 @@ TEST(LinkStateRouting, RowsMatchFreshAcrossInterleavings) {
       (void)r.hops(pick(), pick());
     }
     r.refresh();
-    expect_matches_fresh(r, topo, "after refresh");
+    expect_matches_reference(r, topo, "after refresh");
   }
+}
+
+// Negative coordinates put nodes in grid cells on both sides of the
+// origin, and a far-away node has an empty adjacency list; both must come
+// out of the view exactly as the brute-force scan sees them, before and
+// after the isolated node rejoins.
+TEST(LinkStateRouting, NegativeCoordinatesAndAnIsolatedNodeMatchReference) {
+  sim::Rng rng(5);
+  sim::Simulator sim;
+  const std::size_t n = 30;
+  phy::Topology topo(n, 40.0);
+  for (core::NodeId i = 0; i + 1 < n; ++i)
+    topo.set_position(i,
+                      {rng.uniform(-120.0, 40.0), rng.uniform(-120.0, 40.0)});
+  const core::NodeId loner = n - 1;
+  topo.set_position(loner, {-5000.0, -5000.0});
+  LinkStateRouting r(sim, topo);
+  ASSERT_FALSE(Reference(topo).hops(0, loner).has_value());
+  expect_matches_reference(r, topo, "isolated");
+  const phy::Position beside{topo.position(1).x + 1.0, topo.position(1).y};
+  topo.set_position(loner, beside);
+  topo.set_position(0, {-5000.0, -5000.0});
+  r.refresh();
+  ASSERT_FALSE(Reference(topo).hops(1, 0).has_value());
+  expect_matches_reference(r, topo, "swapped");
+}
+
+// Rows are lazy but the view is not: a row first built after a live move
+// answers from the snapshot the last refresh took, and only the next
+// refresh exposes the move.
+TEST(LinkStateRouting, RowFirstBuiltAfterALiveMoveAnswersFromTheSnapshot) {
+  sim::Simulator sim;
+  auto topo = phy::Topology::linear(5, 30.0, 40.0);
+  const phy::Position in_chain = topo.position(2);
+  topo.set_position(2, {1000.0, 0.0});  // constructed on a broken chain
+  LinkStateRouting r(sim, topo);
+  topo.set_position(2, in_chain);
+  r.refresh();  // the snapshot now holds the intact chain
+  ASSERT_EQ(r.stats().snapshots, 2u);
+  topo.set_position(2, {1000.0, 0.0});  // break it again, live only
+  EXPECT_EQ(r.path(1, 4), (std::vector<core::NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(r.hops(1, 4), 3);
+  EXPECT_EQ(r.next_hop(1, 4), 2u);
+  EXPECT_EQ(r.stats().snapshots, 2u);
+  r.refresh();
+  EXPECT_EQ(r.stats().snapshots, 3u);
+  EXPECT_FALSE(r.path(1, 4).has_value());
+  EXPECT_FALSE(r.hops(1, 4).has_value());
+  EXPECT_FALSE(r.next_hop(1, 4).has_value());
 }
 
 TEST(LinkStateRouting, OracleUnchangedTopologyNeverRecomputes) {
