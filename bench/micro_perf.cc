@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/bbr.h"
@@ -161,6 +163,40 @@ void BM_CacheInsertLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheInsertLookup);
+
+// A relay's view of short flows: F flows (the argument) with seqs 0..49,
+// visited round-robin (flow i % F, seq (i / F) % 50) through a
+// PacketCache(1000) that is already past its first 1000 inserts. Each
+// iteration inserts the next key and looks up the key inserted 500
+// iterations earlier. With one flow the 50 keys stay resident; with 64,
+// 3200 distinct keys cycle through the cache, so every insert evicts and
+// every flow shares seqs with 63 others — the pattern a flow-blind bucket
+// key serves worst.
+void BM_CacheManyFlows(benchmark::State& state) {
+  const auto flows = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kSeqs = 50, kBack = 500;
+  core::PacketCache cache(1000);
+  core::Packet p;
+  p.type = core::PacketType::kData;
+  const auto key = [flows](std::uint64_t i) {
+    return std::pair<core::FlowId, core::SeqNo>{
+        static_cast<core::FlowId>(i % flows), (i / flows) % kSeqs};
+  };
+  std::uint64_t i = 0;
+  for (; i < 1000; ++i) {
+    std::tie(p.flow, p.seq) = key(i);
+    cache.insert(p);
+  }
+  for (auto _ : state) {
+    std::tie(p.flow, p.seq) = key(i);
+    cache.insert(p);
+    const auto back = key(i - kBack);
+    benchmark::DoNotOptimize(cache.lookup(back.first, back.second));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheManyFlows)->Arg(1)->Arg(64);
 
 void BM_PathMonitorAdd(benchmark::State& state) {
   core::PathMonitor m;

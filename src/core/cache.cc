@@ -1,5 +1,6 @@
 #include "core/cache.h"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace jtp::core {
@@ -16,18 +17,15 @@ PacketCache::PacketCache(std::size_t capacity_packets)
     : capacity_(capacity_packets) {
   if (capacity_packets == 0)
     throw std::invalid_argument("PacketCache: capacity must be >= 1");
-  entries_.resize(capacity_);
-  // Chain all entries into the freelist (via chain_next).
-  for (std::size_t i = 0; i < capacity_; ++i)
-    entries_[i].chain_next =
-        i + 1 < capacity_ ? static_cast<std::uint32_t>(i + 1) : kNil;
+  entries_.reserve(capacity_);  // pages become resident as entries fill
   const std::size_t nbuckets = next_pow2(2 * capacity_);
   buckets_.assign(nbuckets, kNil);
   bucket_mask_ = nbuckets - 1;
 }
 
-std::uint32_t PacketCache::find(FlowId flow, SeqNo seq) const {
-  for (std::uint32_t i = buckets_[bucket_of(flow, seq)]; i != kNil;
+std::uint32_t PacketCache::find(std::size_t bucket, FlowId flow,
+                                SeqNo seq) const {
+  for (std::uint32_t i = buckets_[bucket]; i != kNil;
        i = entries_[i].chain_next) {
     const PacketHeader& p = entries_[i].packet;
     if (p.flow == flow && p.seq == seq) return i;
@@ -64,47 +62,37 @@ void PacketCache::chain_remove(std::uint32_t idx) {
   *link = e.chain_next;
 }
 
-void PacketCache::remove_entry(std::uint32_t idx) {
-  chain_remove(idx);
-  lru_unlink(idx);
-  entries_[idx].chain_next = free_head_;
-  free_head_ = idx;
-  --live_;
-}
-
-void PacketCache::evict_one() {
-  remove_entry(lru_tail_);
-  ++evictions_;
-}
-
 void PacketCache::insert(const PacketHeader& p) {
   if (!p.is_data()) return;  // only data packets are cacheable
   ++insertions_;
-  if (const std::uint32_t idx = find(p.flow, p.seq); idx != kNil) {
-    Entry& e = entries_[idx];
-    e.packet = p;
-    e.packet.is_source_retransmission = false;
-    e.packet.is_cache_retransmission = false;
+  const std::size_t b = bucket_of(p.flow, p.seq);
+  std::uint32_t idx = find(b, p.flow, p.seq);
+  if (idx != kNil) {
     lru_unlink(idx);
-    lru_push_front(idx);
-    return;
+  } else {
+    if (entries_.size() < capacity_) {
+      assert(entries_.size() < entries_.capacity() &&
+             "slab grew past its reservation");
+      idx = static_cast<std::uint32_t>(entries_.size());
+      entries_.emplace_back();
+    } else {
+      idx = lru_tail_;  // evict; the new packet takes the victim's slot
+      chain_remove(idx);
+      lru_unlink(idx);
+      ++evictions_;
+    }
+    entries_[idx].chain_next = buckets_[b];
+    buckets_[b] = idx;
   }
-  if (live_ >= capacity_) evict_one();
-  const std::uint32_t idx = free_head_;
   Entry& e = entries_[idx];
-  free_head_ = e.chain_next;
   e.packet = p;
   e.packet.is_source_retransmission = false;
   e.packet.is_cache_retransmission = false;
-  const std::size_t b = bucket_of(p.flow, p.seq);
-  e.chain_next = buckets_[b];
-  buckets_[b] = idx;
   lru_push_front(idx);
-  ++live_;
 }
 
 const PacketHeader* PacketCache::lookup(FlowId flow, SeqNo seq) {
-  const std::uint32_t idx = find(flow, seq);
+  const std::uint32_t idx = find(bucket_of(flow, seq), flow, seq);
   if (idx == kNil) {
     ++misses_;
     return nullptr;
@@ -116,16 +104,7 @@ const PacketHeader* PacketCache::lookup(FlowId flow, SeqNo seq) {
 }
 
 bool PacketCache::contains(FlowId flow, SeqNo seq) const {
-  return find(flow, seq) != kNil;
-}
-
-void PacketCache::erase_flow(FlowId flow) {
-  std::uint32_t i = lru_head_;
-  while (i != kNil) {
-    const std::uint32_t next = entries_[i].lru_next;
-    if (entries_[i].packet.flow == flow) remove_entry(i);
-    i = next;
-  }
+  return find(bucket_of(flow, seq), flow, seq) != kNil;
 }
 
 }  // namespace jtp::core

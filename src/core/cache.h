@@ -6,12 +6,24 @@
 // manipulated" covers both insertion and a retransmission hit, so packets
 // under active repair stay resident. Capacity is shared across flows.
 //
-// Storage: all entries live in a slab allocated once at construction —
-// an intrusive doubly-linked LRU over slab indices plus a chained hash
-// table (buckets sized 2× capacity, rounded to a power of two). Insert,
-// lookup, and eviction perform no heap allocation; cached packets are
-// bare PacketHeaders (only data packets are cacheable, and data packets
-// carry no ack body).
+// Storage: entries live in a slab reserved once at construction and filled
+// on first use. While the cache is below capacity an insert appends an
+// entry; once it is full, an insert reuses the slot of the entry it evicts.
+// The slab therefore holds exactly size() entries, and a relay that only
+// ever sees a few packets never touches the rest of its reservation. An
+// intrusive doubly-linked LRU runs over slab indices, and a chained hash
+// table (buckets sized 2× capacity, rounded to a power of two) indexes
+// them. Insert, lookup, and eviction perform no heap allocation and never
+// move an entry; cached packets are bare PacketHeaders (only data packets
+// are cacheable, and data packets carry no ack body).
+//
+// Bucket key: seq plus a per-flow offset (splitmix64 of the flow id), times
+// an odd constant, masked to the bucket count. The product's low bits
+// depend only on the low bits of seq + offset, so one flow's seqs never
+// share a bucket within any window of bucket-count consecutive seqs, and
+// each flow's window starts at its own pseudo-random offset. A key that
+// ignores the flow would send every short flow's seqs 0..49 to the same
+// ~50 buckets.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +32,7 @@
 
 #include "core/packet.h"
 #include "core/types.h"
+#include "sim/random.h"
 
 namespace jtp::core {
 
@@ -40,10 +53,7 @@ class PacketCache {
   // Non-refreshing probe, for tests/inspection.
   bool contains(FlowId flow, SeqNo seq) const;
 
-  // Drops every entry of a flow (e.g. connection teardown).
-  void erase_flow(FlowId flow);
-
-  std::size_t size() const { return live_; }
+  std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
 
   // Counters for the experiment harness.
@@ -59,33 +69,26 @@ class PacketCache {
     PacketHeader packet;
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;
-    std::uint32_t chain_next = kNil;  // hash chain; freelist link when free
+    std::uint32_t chain_next = kNil;  // hash chain
   };
 
-  static std::size_t hash_key(FlowId flow, SeqNo seq) {
-    return static_cast<std::size_t>(
-        std::hash<std::uint64_t>{}((static_cast<std::uint64_t>(flow) << 32) ^
-                                   (seq * 0x9e3779b97f4a7c15ULL)));
-  }
   std::size_t bucket_of(FlowId flow, SeqNo seq) const {
-    return hash_key(flow, seq) & bucket_mask_;
+    return static_cast<std::size_t>((seq + sim::splitmix64(flow)) *
+                                    0x9e3779b97f4a7c15ULL) &
+           bucket_mask_;
   }
 
-  std::uint32_t find(FlowId flow, SeqNo seq) const;
+  std::uint32_t find(std::size_t bucket, FlowId flow, SeqNo seq) const;
   void lru_unlink(std::uint32_t idx);
   void lru_push_front(std::uint32_t idx);
   void chain_remove(std::uint32_t idx);
-  void remove_entry(std::uint32_t idx);  // unlink + back to freelist
-  void evict_one();
 
   std::size_t capacity_;
-  std::vector<Entry> entries_;           // slab, size == capacity
-  std::vector<std::uint32_t> buckets_;   // chain heads
+  std::vector<Entry> entries_;          // slab, reserved to capacity
+  std::vector<std::uint32_t> buckets_;  // chain heads
   std::size_t bucket_mask_ = 0;
   std::uint32_t lru_head_ = kNil;  // most recently manipulated
   std::uint32_t lru_tail_ = kNil;  // eviction victim
-  std::uint32_t free_head_ = 0;
-  std::size_t live_ = 0;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

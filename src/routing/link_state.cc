@@ -17,8 +17,8 @@ LinkStateRouting::LinkStateRouting(sim::Simulator& sim,
     throw std::invalid_argument("LinkStateRouting: bad refresh interval");
   snapshot();
   const std::size_t n = topo_.size();
-  dist_.assign(n * n, kUnreachable);
-  next_.assign(n * n, core::kInvalidNode);
+  dist_.reset(new int[n * n]);
+  next_.reset(new core::NodeId[n * n]);
   row_epoch_.assign(n, 0);  // epoch_ starts at 1: no row is valid yet
   stats_.refreshes = 1;     // construction takes the first view
   stats_.snapshots = 1;
@@ -78,8 +78,8 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
     return;
   }
   const std::size_t n = topo_.size();
-  int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
-  core::NodeId* next = next_.data() + static_cast<std::size_t>(s) * n;
+  int* dist = dist_.get() + static_cast<std::size_t>(s) * n;
+  core::NodeId* next = next_.get() + static_cast<std::size_t>(s) * n;
   for (std::size_t d = 0; d < n; ++d) {
     dist[d] = kUnreachable;
     next[d] = core::kInvalidNode;

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -115,9 +116,13 @@ class LinkStateRouting {
   mutable std::uint64_t snapshot_gen_ = 0;
 
   // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
-  // on a shortest path. A row is valid iff row_epoch_[s] == epoch_.
-  mutable std::vector<int> dist_;
-  mutable std::vector<core::NodeId> next_;
+  // on a shortest path. A row is valid iff row_epoch_[s] == epoch_. The
+  // planes are allocated without a fill: ensure_row writes a whole row
+  // before any read of it, and row_epoch_ gates every read, so only the
+  // rows of queried sources ever become resident (the planes are 8 MB at
+  // n=1000, per shard).
+  std::unique_ptr<int[]> dist_;
+  std::unique_ptr<core::NodeId[]> next_;
   mutable std::vector<std::uint64_t> row_epoch_;
   mutable std::uint64_t epoch_ = 1;
 

@@ -5,13 +5,6 @@
 
 namespace jtp::sim {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_label(std::string_view label) {
   // FNV-1a, then one splitmix round for avalanche.
   std::uint64_t h = 0xcbf29ce484222325ULL;

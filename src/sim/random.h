@@ -12,9 +12,15 @@
 
 namespace jtp::sim {
 
-// splitmix64: fast, well-mixed 64-bit hash used for stream derivation and
-// for the TDMA pseudo-random schedule.
-std::uint64_t splitmix64(std::uint64_t x);
+// splitmix64: fast, well-mixed 64-bit hash used for stream derivation, for
+// the TDMA pseudo-random schedule, and for the bucket keys of the packet
+// cache and the link table. Inline because those two hash on every lookup.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // Stable 64-bit hash of a label, for name-derived streams.
 std::uint64_t hash_label(std::string_view label);
