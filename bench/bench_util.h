@@ -40,9 +40,6 @@ struct Options {
   std::size_t jobs = 0;  // 0 = auto (one job per hardware thread)
   std::optional<exp::Proto> proto;  // --proto; unset = bench default
   std::string scenario;  // --scenario tokens (validated at parse time)
-  // --shards: event-loop shards per run (unset = the scenario's value).
-  // Results are byte-identical across values; only wall clock changes.
-  std::optional<std::size_t> shards;
 
   std::size_t pick_runs(std::size_t quick, std::size_t paper) const {
     if (runs) return *runs;
@@ -81,15 +78,14 @@ inline const char* usage_text() {
       "  --csv PATH        also write the result series to CSV file(s);\n"
       "                    multi-table benches derive PATH.<section>.csv\n"
       "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_dr or bbr\n"
-      "  --shards N        run each simulation on N event-loop shards\n"
-      "                    (results are byte-identical across N; needs a\n"
-      "                    static topology and a non-CSMA MAC when N > 1)\n"
       "  --scenario SPEC   comma-separated key=value scenario overrides\n"
       "                    (first token may name a preset: linear, random,\n"
       "                    mobile, testbed, scale), e.g.\n"
       "                    --scenario 'net_size=12,loss_good=0.1' or\n"
       "                    --scenario 'mac=tdma_reuse' (tdma, tdma_reuse,\n"
-      "                    csma)\n"
+      "                    csma); shards=N runs each simulation on N\n"
+      "                    event-loop shards (byte-identical results; N > 1\n"
+      "                    needs speed=0 and mac=tdma or tdma_reuse)\n"
       "  --help            show this message\n";
 }
 
@@ -139,13 +135,6 @@ inline ParseResult parse_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       if (!numeric("--jobs", i, v)) return r;
       r.options.jobs = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!numeric("--shards", i, v)) return r;
-      if (v == 0) {
-        r.error = "--shards must be at least 1";
-        return r;
-      }
-      r.options.shards = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       if (i + 1 >= argc) {
         r.error = "--csv requires a path";
@@ -279,6 +268,19 @@ inline void apply_scenario(const Options& opt, exp::ScenarioSpec& spec) {
     std::exit(2);
   }
   spec = std::move(updated);
+}
+
+// For benches whose sections or legs change the MAC or mobility after
+// --scenario is applied: true, after printing one line that names the
+// reason, when the shard rule (net::shard_config_error) rejects `spec`.
+// Such a leg is skipped — never run at another shard count.
+inline bool skip_unshardable(const exp::ScenarioSpec& spec,
+                             const std::string& leg) {
+  const auto why =
+      net::shard_config_error(spec.shards, spec.mac, spec.speed_mps > 0.0);
+  if (why.empty()) return false;
+  std::printf("%s skipped: %s\n", leg.c_str(), why.c_str());
+  return true;
 }
 
 // True when --scenario names `key` in an explicit key=value token (a

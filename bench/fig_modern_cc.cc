@@ -11,6 +11,9 @@
 //
 // A bare preset name as the first --scenario token collapses the section
 // list to that preset (CI runs `--runs 1 --scenario scale` as a smoke).
+// Under --scenario shards=N (N > 1) a section or MAC row the shard rule
+// rejects (the mobile preset, mac=csma) is skipped with one printed line
+// naming the reason.
 // Per-protocol columns: delivered packets, mean per-flow goodput, and
 // Jain's fairness index over per-flow delivered packets.
 //
@@ -80,13 +83,26 @@ int main(int argc, char** argv) {
   for (const auto& plan : kPresets) {
     if (!only_preset.empty() && only_preset != plan.name) continue;
     auto base = exp::preset(plan.name);
+    // Overlay the tokens unvalidated first: a section the shard rule
+    // rejects is skipped here, while apply_scenario still exits 2 on any
+    // other conflict.
+    auto probe = base;
+    exp::apply_scenario_tokens(probe, opt.scenario);
+    if (bench::skip_unshardable(probe, std::string("preset=") + plan.name))
+      continue;
     bench::apply_scenario(opt, base);
-    if (opt.shards) base.shards = *opt.shards;
     const double duration = opt.full ? plan.full_s : plan.quick_s;
 
-    const auto macs = bench::sweep_or<mac::Mac>(
-        opt, "mac", base.mac,
-        {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});
+    std::vector<mac::Mac> macs;
+    for (const mac::Mac m : bench::sweep_or<mac::Mac>(
+             opt, "mac", base.mac,
+             {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma})) {
+      auto spec = base;
+      spec.mac = m;
+      const auto leg = std::string("preset=") + plan.name +
+                       " mac=" + mac::mac_name(m);
+      if (!bench::skip_unshardable(spec, leg)) macs.push_back(m);
+    }
 
     std::vector<sim::Column> cols{{"mac", 0}};
     for (const auto p : protos)
@@ -105,8 +121,6 @@ int main(int argc, char** argv) {
     for (const mac::Mac m : macs) {
       auto spec = base;
       spec.mac = m;
-      // CSMA's shared carrier and random-waypoint mobility cannot shard.
-      if (m == mac::Mac::kCsma || spec.speed_mps > 0.0) spec.shards = 1;
 
       std::vector<sim::Cell> row{mac::mac_name(m)};
       std::vector<sim::Cell> goodput, jain;

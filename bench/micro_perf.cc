@@ -461,7 +461,7 @@ BENCHMARK(BM_CsmaBackoff);
 
 // ---------------------------------------------------------------------------
 // The sharded event loop end to end: the scale preset (100-node random
-// field, fan-in workload, spatial-reuse TDMA) split across K shards.
+// field, fan-in workload, classic TDMA) split across K shards.
 // Items = packets delivered end-to-end, identical for every K by the
 // determinism guarantee; the Arg(1) row is the classic single-loop
 // baseline, so the K>1 rows price the shard runner (mailboxes, horizon
@@ -488,69 +488,6 @@ BENCHMARK(BM_ShardedDelivery)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-// Shard-aware mobility end to end, traffic-free: a fast waypoint field
-// split across 4 shards with a migration barrier every lookahead horizon
-// and a zero halo threshold — the maximum barrier/hand-over duty cycle
-// the config can express. Items = barriers evaluated; the migrations
-// counter says how much hand-over work each run actually did.
-void BM_ShardMigration(benchmark::State& state) {
-  sim::Rng rng(9);
-  const double side = exp::random_field_side_m(150);
-  const auto topo = phy::Topology::random_connected(150, side, 40.0, rng);
-  std::uint64_t barriers = 0, migrations = 0;
-  for (auto _ : state) {
-    net::NetworkConfig cfg;
-    cfg.seed = 9;
-    cfg.mac_kind = mac::Mac::kTdmaReuse;
-    cfg.shards = 4;
-    cfg.mobility = phy::MobilityConfig{};
-    cfg.mobility->speed_mps = 8.0;
-    cfg.mobility->mean_leg_m = 120.0;
-    cfg.mobility->mean_pause_s = 0.5;
-    cfg.mobility->field_m = side;
-    cfg.migration_epoch_s = cfg.slot_duration_s;  // barrier every horizon
-    cfg.halo_threshold = 0.0;
-    net::Network net(topo, cfg);
-    net.run_until(5.0);
-    barriers += net.migration_stats().barriers;
-    migrations += net.migration_stats().migrations;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(barriers));
-  state.counters["migrations"] = static_cast<double>(migrations);
-}
-BENCHMARK(BM_ShardMigration)->Unit(benchmark::kMillisecond);
-
-// The per-frame cost of the split-carrier seam: a native begin_tx in the
-// home domain, its mirror registered in the peer domain, two CCA probes
-// against the mirror (one audible, one out of range) and the release.
-// This is the extra arbitration work a boundary transmission pays under
-// K > 1 relative to the shared-medium loop.
-void BM_CsmaBoundaryArbitration(benchmark::State& state) {
-  const double unit = 0.005;
-  phy::Topology topo(4, exp::kRangeM);
-  topo.set_position(0, {0.0, 0.0});
-  topo.set_position(1, {15.0, 0.0});
-  topo.set_position(2, {25.0, 0.0});
-  topo.set_position(3, {45.0, 0.0});
-  mac::CsmaMedium home(topo, unit);  // strip owning nodes 0, 1
-  mac::CsmaMedium peer(topo, unit);  // strip owning nodes 2, 3
-  home.set_mirror([&](const mac::CsmaTxRecord& r) {
-    peer.register_remote(r, r.start + 0.5 * unit);
-  });
-  double now = 0.0;
-  std::uint64_t cca_busy = 0;
-  for (auto _ : state) {
-    const auto id = home.begin_tx(0, 1, now, now + 4.0 * unit);
-    cca_busy += peer.busy(2, now + unit) ? 1 : 0;  // hears the mirror
-    cca_busy += peer.busy(3, now + unit) ? 1 : 0;  // out of range
-    benchmark::DoNotOptimize(home.finish_tx(id));
-    now += 6.0 * unit;  // next cycle: the stale mirror gets pruned
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["cca_busy"] = static_cast<double>(cca_busy);
-}
-BENCHMARK(BM_CsmaBoundaryArbitration);
 
 // ---------------------------------------------------------------------------
 // Cost of the polymorphic core::TransportReceiver interface on the

@@ -25,8 +25,11 @@
 // from the committed-baseline suite (like micro_perf). --deterministic
 // drops those columns — and the shard-count-dependent diagnostics
 // (total events, per-shard routing row stats, pool high-waters) —
-// leaving a byte-stable CSV that CI diffs across --jobs AND --shards
+// leaving a byte-stable CSV that CI diffs across --jobs and shards=
 // values: the sharded event loop must not change a single result bit.
+// Only static tdma/tdma_reuse runs shard, so under --scenario shards=N
+// (N > 1) the csma leg and the mobile legs are skipped, each with one
+// printed line naming the reason.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -133,7 +136,6 @@ int main(int argc, char** argv) {
   auto base = exp::preset("scale");
   bench::apply_scenario(opt, base);
   base.proto = opt.proto_or(base.proto);
-  if (opt.shards) base.shards = *opt.shards;
   const auto sizes = bench::sweep_or<std::size_t>(
       opt, "net_size", base.net_size,
       opt.full ? std::vector<std::size_t>{100, 400, 1000}
@@ -149,8 +151,7 @@ int main(int argc, char** argv) {
   for (const mac::Mac m : macs) {
     auto spec = base;
     spec.mac = m;
-    // Every MAC shards now — CSMA runs per-strip carrier domains coupled
-    // through boundary mirrors, byte-identical to the shared-carrier loop.
+    if (bench::skip_unshardable(spec, "mac=" + mac::mac_name(m))) continue;
 
     // Deterministic mode keeps only shard-count-invariant results: what
     // the simulation computed, never how the work was split (per-shard
@@ -236,19 +237,19 @@ int main(int argc, char** argv) {
   }
 
   // Mobile leg: the same field under 1 m/s random waypoint (the
-  // scale_mobile preset), one report per MAC, sharded like the static
-  // legs (per-shard trajectory replicas + epoch-barrier migration).
-  // rows_built depends on which rows each shard's replica has cached —
-  // how the work was split, not what the run computed — so it sits with
-  // the other K-dependent diagnostics outside the --deterministic CSV.
-  // Skipped when the base sweep is already mobile (speed=... given via
-  // --scenario): the static legs above then carry the churn, and this
-  // would duplicate them.
+  // scale_mobile preset), one report per MAC. Mobile runs do not shard,
+  // so under shards > 1 each one is skipped with the reason printed.
+  // rows_built sits with the other diagnostics outside the
+  // --deterministic CSV, as in the static legs. Skipped when the base
+  // sweep is already mobile (speed=... given via --scenario): the static
+  // legs above then carry the churn, and this would duplicate them.
   if (base.speed_mps == 0.0) {
     for (const mac::Mac m : macs) {
       auto spec = base;
       spec.mac = m;
       spec.speed_mps = 1.0;
+      if (bench::skip_unshardable(spec, "mobile mac=" + mac::mac_name(m)))
+        continue;
       std::vector<sim::Column> cols{{"net_size", 0}};
       if (!deterministic) cols.push_back({"wall_s", 2, true});
       cols.push_back({"pkts", 0});

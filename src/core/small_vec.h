@@ -56,7 +56,7 @@ class SmallVec {
     assign(il.begin(), il.size());
     return *this;
   }
-  // std::vector interop (tests and migration seams).
+  // std::vector interop (tests; SNACK sets built in a std::vector).
   SmallVec& operator=(const std::vector<T>& v) {
     assign(v.data(), v.size());
     return *this;

@@ -354,8 +354,10 @@ std::string validate_spec(const ScenarioSpec& s) {
     return "scenario: min_be/max_be/max_backoffs require mac=csma";
   if (s.csma_min_be > s.csma_max_be)
     return "scenario: min_be must be <= max_be";
-  // shards combines with every MAC and with mobility (shard-aware
-  // mobility + per-strip CSMA carrier domains); no cross-key limits.
+  // Only static slotted runs shard; say why instead of running at K = 1.
+  const auto shard_err =
+      net::shard_config_error(s.shards, s.mac, s.speed_mps > 0.0);
+  if (!shard_err.empty()) return "scenario: " + shard_err;
   return "";
 }
 

@@ -82,7 +82,8 @@ struct ScenarioSpec {
   double routing_refresh_s = 5.0;
   std::uint64_t seed = 1;
   // Parallel event-loop shards (net::NetworkConfig::shards). Results are
-  // byte-identical for every value; > 1 requires speed=0 and mac!=csma.
+  // byte-identical for every value; > 1 requires speed=0 and mac=tdma or
+  // mac=tdma_reuse (net::shard_config_error).
   std::size_t shards = 1;
   // --- MAC discipline ---
   mac::Mac mac = mac::Mac::kTdma;
@@ -129,7 +130,10 @@ std::vector<std::string> preset_names();
 // MAC-family knobs are validated cross-key: reuse_margin differing from
 // its default requires mac=tdma_reuse, and the csma knobs require
 // mac=csma — a spec that tunes a discipline it does not select is a
-// silent no-op the validation turns into a parse error.
+// silent no-op the validation turns into a parse error. Likewise
+// shards > 1 requires a static field (speed=0) under mac=tdma or
+// mac=tdma_reuse: a spec that cannot shard is an error, never a
+// silent K = 1 run.
 
 // Applies tokens onto `spec` in order. Returns "" on success or a
 // human-readable error (unknown key, malformed value, out-of-range);

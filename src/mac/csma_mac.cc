@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace jtp::mac {
 
 void CsmaMedium::mark_collisions(Tx& tx) {
-  // All comparisons run over captured geometry, so marking is the same
-  // computation no matter which domain performs it or when the record
-  // arrived (a mirror registers half a unit after its native twin, but
-  // every record it must mark — and every record that must mark it — is
-  // still live: natives are only released half a unit after their end,
-  // and no overlapping frame can have both started and ended inside the
-  // mirror's half-unit lag, because starts sit on whole-unit grid
-  // points).
+  // All comparisons run over the captured geometry of the two records.
   for (Tx& t : active_) {
     if (t.sender == tx.sender) continue;
     if (tx.start >= t.end || t.start >= tx.end) continue;  // no overlap
@@ -23,54 +15,22 @@ void CsmaMedium::mark_collisions(Tx& tx) {
   }
 }
 
-void CsmaMedium::prune_mirrors(sim::Time now) {
-  // A mirror is dead once its frame has ended: it can no longer be heard
-  // by a CCA (end > now fails) and can no longer overlap a new frame
-  // (new starts are >= now). Natives wait for their finish_tx.
-  active_.erase(std::remove_if(active_.begin(), active_.end(),
-                               [now](const Tx& t) {
-                                 return t.mirror && t.end <= now;
-                               }),
-                active_.end());
-}
-
 CsmaMedium::TxId CsmaMedium::begin_tx(core::NodeId sender,
                                       core::NodeId receiver, sim::Time start,
                                       sim::Time end) {
-  prune_mirrors(start);
-  Tx tx{next_id_++,          sender, receiver, topo_.position(sender),
-        topo_.position(receiver), start,  end,      /*collided=*/false,
-        /*mirror=*/false};
+  Tx tx{next_id_++, sender, receiver, topo_.position(sender),
+        topo_.position(receiver), start, end};
   mark_collisions(tx);
   active_.push_back(tx);
-  if (mirror_) {
-    CsmaTxRecord r;
-    r.id = tx.id;
-    r.sender = sender;
-    r.receiver = receiver;
-    r.sender_pos = tx.spos;
-    r.receiver_pos = tx.rpos;
-    r.start = start;
-    r.end = end;
-    mirror_(r);
-  }
   return tx.id;
-}
-
-void CsmaMedium::register_remote(const CsmaTxRecord& r, sim::Time now) {
-  prune_mirrors(now);
-  Tx tx{r.id,  r.sender, r.receiver, r.sender_pos, r.receiver_pos,
-        r.start, r.end,  /*collided=*/false, /*mirror=*/true};
-  mark_collisions(tx);
-  active_.push_back(tx);
 }
 
 bool CsmaMedium::busy(core::NodeId listener, sim::Time now) const {
   // One unit of carrier-detection latency: a frame beginning at the same
-  // grid point as this CCA — or the one just before — is invisible, at
-  // every shard count. The half-unit threshold splits the grid cleanly
-  // (real gaps are whole units), so accumulated floating-point noise in
-  // event times cannot flip a verdict.
+  // grid point as this CCA — or the one just before — is invisible. The
+  // half-unit threshold splits the grid cleanly (real gaps are whole
+  // units), so accumulated floating-point noise in event times cannot
+  // flip a verdict.
   const phy::Position lpos = topo_.position(listener);
   for (const Tx& t : active_) {
     if (t.sender == listener) continue;  // own frame: no self carrier-sense
@@ -82,7 +42,7 @@ bool CsmaMedium::busy(core::NodeId listener, sim::Time now) const {
 
 bool CsmaMedium::finish_tx(TxId id) {
   for (Tx& t : active_) {
-    if (t.mirror || t.id != id) continue;
+    if (t.id != id) continue;
     const bool collided = t.collided;
     // Swap-remove: busy()/begin_tx() reduce over the whole list, so
     // record order never affects a verdict.
@@ -107,21 +67,6 @@ CsmaMac::CsmaMac(sim::Simulator& sim, CsmaMedium& medium, phy::Channel& channel,
       1.0 / (unit_ * static_cast<double>(1ULL << cfg.csma.min_be)));
 }
 
-void CsmaMac::adopt_state(const MacIface& from) {
-  const auto* src = dynamic_cast<const CsmaMac*>(&from);
-  if (src == nullptr)
-    throw std::logic_error("CsmaMac::adopt_state: discipline mismatch");
-  adopt_base(*src);
-  // The backoff rng is this node's private draw stream: its position
-  // must travel with the node or the draw sequence would fork from the
-  // single-shard one. Cycle state (nb_/be_) is idle on both sides but
-  // copied for completeness.
-  rng_ = src->rng_;
-  nb_ = src->nb_;
-  be_ = src->be_;
-  cca_failures_ = src->cca_failures_;
-}
-
 void CsmaMac::kick() {
   if (busy_) return;  // the running cycle picks up new traffic at its end
   if (current_queue() == nullptr) return;
@@ -134,8 +79,7 @@ void CsmaMac::kick() {
 void CsmaMac::start_backoff() {
   // Contention is grid-aligned: the attempt lands `periods` whole units
   // after the next grid point. Absolute grid times are computed as
-  // index · unit (not accumulated sums) so every shard derives the
-  // identical timestamp.
+  // index · unit, not accumulated sums.
   const std::uint64_t periods = rng_.integer(1ULL << be_);
   const std::uint64_t next_grid =
       static_cast<std::uint64_t>(std::floor(sim_.now() / unit_)) + 1;
@@ -205,9 +149,8 @@ void CsmaMac::attempt_transmit() {
   const sim::Time end = start + air;
   const CsmaMedium::TxId txid = medium_.begin_tx(self_, e.next_hop, start, end);
   // Fading loss is drawn now; the collision verdict accumulates on the
-  // medium record (a hidden terminal may start mid-air, possibly in a
-  // peer strip whose mirror arrives half a unit late) and is read half a
-  // unit after the transmission ends — past the last possible marking.
+  // medium record (a hidden terminal may start mid-air) and is read half
+  // a unit after the transmission ends.
   // The head ring is captured here: an ACK enqueued while this data
   // frame is in the air must not redirect the completion to the control
   // ring.
@@ -229,10 +172,9 @@ void CsmaMac::finish_tx(TxRing* q, CsmaMedium::TxId txid, bool lost_ch) {
     const core::NodeId to = e.next_hop;
     finish_head(*q, /*delivered=*/true);
     if (dispatch_) {
-      // Shard-routed path: the network lands the delivery in `to`'s
-      // shard half a unit from now (one whole unit after the airtime
-      // ended — still >= the runner's half-unit lookahead) and charges
-      // the receive energy there, at execution time.
+      // Dispatch seam: the network lands the delivery half a unit from
+      // now (one whole unit after the airtime ended) and charges the
+      // receive energy at execution time.
       dispatch_(0.5 * unit_, std::move(delivered), from, to);
     } else {
       // Legacy single-simulator path (raw-fabric tests).

@@ -10,35 +10,26 @@
 // transmitters out of carrier range of each other can still collide at a
 // common receiver.
 //
-// The medium's semantics are deliberately partition-independent, so the
-// sharded runner can split the carrier into per-strip domains coupled by
-// mirrored boundary records (see net::Network) without changing a single
-// verdict:
+// Timing rules (model semantics: every committed CSMA baseline is pinned
+// to them):
 //  * Contention is grid-aligned: every CCA and transmission start sits on
 //    a whole backoff-unit boundary (the next grid point after the random
 //    backoff), like the slotted CAP of 802.15.4.
 //  * CCA has one unit of detection latency: a frame is audible at grid
-//    point t only if it started at or before t - unit. That is exactly
-//    the margin that lets a peer strip learn about a boundary frame
-//    through a half-unit-lookahead mirror message before any of its own
-//    nodes could sense it — so a CCA verdict never depends on how the
-//    field was cut.
+//    point t only if it started at or before t - unit.
 //  * Each record captures the sender's and receiver's positions at start
 //    time; collision marking and CCA geometry are evaluated against the
-//    captured points, so a verdict computed in another strip (or half a
-//    unit later, when the mirror arrives) is the same verdict.
-//  * The collision verdict is read half a unit after the frame ends —
-//    after every mirror that could mark it has arrived — and the
-//    delivery is handed over another half unit later through the
-//    network's dispatch seam, which routes it to (and charges receive
-//    energy in) the receiver's shard.
+//    captured points.
+//  * The collision verdict is read half a unit after the frame ends, and
+//    the delivery is handed over another half unit later through the
+//    network's dispatch seam, which charges the receive energy at
+//    execution time.
 // Every attempt (including retries) is charged to the energy layer
 // individually, matching the ns-3 802.15.4 energy exemplar where cost is
 // unitEnergy · (retries + 1).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mac/mac_base.h"
@@ -47,60 +38,31 @@
 
 namespace jtp::mac {
 
-// Wire form of one in-flight transmission, as mirrored across shard
-// boundaries. Positions are captured at begin time — the record is
-// self-contained, so the receiving domain never reads the sender's
-// (possibly moved-on) live topology state.
-struct CsmaTxRecord {
-  std::uint64_t id = 0;
-  core::NodeId sender = core::kInvalidNode;
-  core::NodeId receiver = core::kInvalidNode;
-  phy::Position sender_pos;
-  phy::Position receiver_pos;
-  sim::Time start = 0.0;
-  sim::Time end = 0.0;
-};
-
-// One carrier domain: the whole field under K = 1, one strip per shard
-// otherwise. Tracks active transmissions (native ones begun here plus
-// mirrors of audible boundary frames from peer domains) so CCA and
-// collision checks are range queries against captured geometry.
+// The carrier: tracks the transmissions in flight so CCA and collision
+// checks are range queries against captured geometry.
 class CsmaMedium {
  public:
   using TxId = std::uint64_t;
-  using MirrorHook = std::function<void(const CsmaTxRecord&)>;
 
   CsmaMedium(const phy::Topology& topo, double unit_s)
       : topo_(topo), range_(topo.radio_range()), unit_(unit_s) {}
 
-  // Invoked with the wire record of every native begin_tx; the sharded
-  // network posts it to peer strips as a +unit/2 mirror. Unset under
-  // K = 1.
-  void set_mirror(MirrorHook h) { mirror_ = std::move(h); }
-
   // Registers a frame in flight from `sender` toward `receiver` over
   // [start, end), captures both endpoints' positions, resolves
   // collisions against every overlapping record (both directions, via
-  // captured geometry), and publishes the record to the mirror hook.
+  // captured geometry).
   TxId begin_tx(core::NodeId sender, core::NodeId receiver, sim::Time start,
                 sim::Time end);
-
-  // A peer domain's boundary frame, arriving start + unit/2. Runs the
-  // same bidirectional collision marking as a native begin.
-  void register_remote(const CsmaTxRecord& r, sim::Time now);
 
   // CCA at grid point `now`: is any transmission that started at least
   // one unit ago still in the air and audible at `listener`? (Captured
   // sender position vs. the listener's live one.)
   bool busy(core::NodeId listener, sim::Time now) const;
 
-  // Releases a native record and returns whether the frame was collided
-  // at its receiver. Called exactly once, half a unit after the
-  // transmission's end — after the last possible marking mirror.
+  // Releases a record and returns whether the frame was collided at its
+  // receiver. Called exactly once, half a unit after the transmission's
+  // end.
   bool finish_tx(TxId id);
-
-  // Live records, mirrors included (tests / BM_CsmaBoundaryArbitration).
-  std::size_t active_records() const { return active_.size(); }
 
  private:
   struct Tx {
@@ -112,7 +74,6 @@ class CsmaMedium {
     sim::Time start = 0.0;
     sim::Time end = 0.0;
     bool collided = false;
-    bool mirror = false;
   };
 
   bool audible(const phy::Position& a, const phy::Position& b) const {
@@ -120,13 +81,11 @@ class CsmaMedium {
     return dx * dx + dy * dy <= range_ * range_;
   }
   void mark_collisions(Tx& tx);
-  void prune_mirrors(sim::Time now);
 
   const phy::Topology& topo_;
   double range_;
   double unit_;
-  TxId next_id_ = 0;  // native records only; mirrors keep their origin id
-  MirrorHook mirror_;
+  TxId next_id_ = 0;
   std::vector<Tx> active_;
 };
 
@@ -139,11 +98,6 @@ class CsmaMac final : public MacBase {
   // Busy-CCA count (each one burns a backoff stage); conformance and the
   // energy analysis read contention pressure off this.
   std::uint64_t cca_failures() const { return cca_failures_; }
-
-  bool migration_idle() const override {
-    return queue_.empty() && ctrl_queue_.empty() && !busy_;
-  }
-  void adopt_state(const MacIface& from) override;
 
  protected:
   void kick() override;

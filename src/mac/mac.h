@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -130,20 +129,6 @@ class MacIface {
   virtual std::uint64_t energy_budget_drops() const = 0;
   virtual std::uint64_t transmissions() const = 0;
   virtual std::uint64_t deliveries() const = 0;
-
-  // --- shard migration (epoch-barrier time only; see net::Network) ---
-  // True when this MAC holds no in-flight state: empty queues and no
-  // armed transmit machinery. Only a quiescent MAC may hand its node to
-  // another shard. The conservative default pins custom disciplines in
-  // place (never migratable) rather than risking a half-moved cycle.
-  virtual bool migration_idle() const { return false; }
-  // Copies the dynamic per-node state — counters, link estimator,
-  // discipline internals (slot cursor, backoff rng) — from the same
-  // node's replica in another shard's fabric. Both sides are quiescent
-  // when this runs. Throws std::logic_error on a cross-discipline pair.
-  virtual void adopt_state(const MacIface&) {
-    throw std::logic_error("MacIface: discipline does not support adoption");
-  }
 };
 
 }  // namespace jtp::mac

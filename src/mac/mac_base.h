@@ -96,18 +96,6 @@ class MacBase : public MacIface {
   TxRing* current_queue();
   void finish_head(TxRing& q, bool delivered);
 
-  // Copies the layer-common dynamic state (counters + estimator) from a
-  // quiescent same-node replica; the hooks stay as wired per shard and
-  // the rings are empty on both sides (migration_idle).
-  void adopt_base(const MacBase& from) {
-    estimator_ = from.estimator_;
-    queue_drops_ = from.queue_drops_;
-    attempt_drops_ = from.attempt_drops_;
-    budget_drops_ = from.budget_drops_;
-    transmissions_ = from.transmissions_;
-    deliveries_ = from.deliveries_;
-  }
-
   sim::Simulator& sim_;
   phy::Channel& channel_;
   phy::EnergyModel& energy_;
@@ -151,18 +139,6 @@ class SlottedMac : public MacBase {
   virtual std::uint64_t next_owned_slot_from(std::uint64_t from_slot) = 0;
 
   void kick() override { schedule_next_tx(); }
-
- public:
-  bool migration_idle() const override {
-    return queue_.empty() && ctrl_queue_.empty() && !tx_scheduled_;
-  }
-  void adopt_state(const MacIface& from) override {
-    const auto* src = dynamic_cast<const SlottedMac*>(&from);
-    if (src == nullptr)
-      throw std::logic_error("SlottedMac::adopt_state: discipline mismatch");
-    adopt_base(*src);
-    min_slot_ = src->min_slot_;
-  }
 
  private:
   void schedule_next_tx();

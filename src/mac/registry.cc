@@ -116,13 +116,6 @@ class CsmaFabric final : public MacFabric {
   double frame_duration_s() const override { return unit_ * window_slots_; }
   MacStats stats() const override { return MacStats{}; }  // no coloring
 
-  void set_tx_mirror(std::function<void(const CsmaTxRecord&)> hook) override {
-    medium_.set_mirror(std::move(hook));
-  }
-  void register_remote_tx(const CsmaTxRecord& r, double now) override {
-    medium_.register_remote(r, now);
-  }
-
  private:
   CsmaMedium medium_;
   double unit_;

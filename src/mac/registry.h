@@ -25,8 +25,6 @@
 
 namespace jtp::mac {
 
-struct CsmaTxRecord;  // mac/csma_mac.h (wire form of a mirrored frame)
-
 // Everything a fabric factory may draw on, lent by the Network for the
 // lifetime of the run (the fabric holds references, never copies).
 struct MacContext {
@@ -61,18 +59,6 @@ class MacFabric {
   // Slot-reuse accounting; identity values for disciplines without a
   // coloring (see MacStats).
   virtual MacStats stats() const = 0;
-
-  // --- cross-shard carrier coupling ---
-  // A discipline whose medium is shared beyond its own shard (CSMA)
-  // implements this pair; everyone else keeps the no-op default (their
-  // carrier, if any, is a pure per-shard replica). set_tx_mirror installs
-  // the hook invoked with the wire record of every transmission this
-  // fabric's medium begins — the sharded network forwards it to the peer
-  // strips half a backoff unit later through the runner's rings — and
-  // register_remote_tx is the receiving side, called at that mirror
-  // event with the receiving shard's clock.
-  virtual void set_tx_mirror(std::function<void(const CsmaTxRecord&)>) {}
-  virtual void register_remote_tx(const CsmaTxRecord&, double /*now*/) {}
 };
 
 class MacFactory {

@@ -1,31 +1,36 @@
 #include "net/network.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "mac/csma_mac.h"
+#include "phy/partition.h"
 
 namespace jtp::net {
 
-Network::Shard::Shard(const NetworkConfig& cfg, const phy::Topology& master,
-                      bool replicate_topo)
-    : topo_replica(replicate_topo ? std::make_unique<phy::Topology>(master)
-                                  : nullptr),
-      channel(cfg.channel, sim::Rng(cfg.seed).derive("channel")),
-      energy(master.size(), cfg.radio),
+std::string shard_config_error(std::size_t shards, mac::Mac mac,
+                               bool mobile) {
+  if (shards <= 1) return "";
+  const std::string k = "shards=" + std::to_string(shards);
+  if (mobile)
+    return k + " needs a static field: mobile runs (speed > 0) do not shard";
+  if (mac != mac::Mac::kTdma && mac != mac::Mac::kTdmaReuse)
+    return k + " needs mac=tdma or mac=tdma_reuse: " + mac::mac_name(mac) +
+           " runs do not shard";
+  return "";
+}
+
+Network::Shard::Shard(const NetworkConfig& cfg, const phy::Topology& topo)
+    : channel(cfg.channel, sim::Rng(cfg.seed).derive("channel")),
+      energy(topo.size(), cfg.radio),
+      routing(std::make_unique<routing::LinkStateRouting>(sim, topo,
+                                                          cfg.routing)),
       env(sim, pool) {
-  topo_view = topo_replica ? topo_replica.get() : &master;
-  routing = std::make_unique<routing::LinkStateRouting>(sim, *topo_view,
-                                                        cfg.routing);
   // The link layer comes from the registry: one fabric per shard, one
   // MacIface per node. MAC construction draws no randomness and
   // schedules no events, and the TDMA schedule/coloring is a pure
   // function of seed and topology — every shard's replica is identical,
   // and only the MACs of nodes the shard owns ever run.
-  const mac::MacContext mctx{sim,     *topo_view, channel, energy,
+  const mac::MacContext mctx{sim,     topo, channel, energy,
                              cfg.slot_duration_s, cfg.seed, cfg.mac};
   fabric = mac::MacRegistry::instance().info(cfg.mac_kind).factory->make(
       mctx);
@@ -33,111 +38,55 @@ Network::Shard::Shard(const NetworkConfig& cfg, const phy::Topology& master,
 
 Network::Network(phy::Topology topology, NetworkConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), topo_(std::move(topology)) {
+  const std::string why = shard_config_error(cfg_.shards, cfg_.mac_kind,
+                                             cfg_.mobility.has_value());
+  if (!why.empty()) throw std::invalid_argument("Network: " + why);
   // Size the channel's per-link state tables from the node count when the
   // scenario didn't: a connected random field carries ~4 links/node, and
   // the reserve is what keeps the hot-path lookup rehash-free.
   if (cfg_.channel.expected_links == 0)
     cfg_.channel.expected_links = 4 * topo_.size();
-  const std::size_t want = cfg.shards == 0 ? 1 : cfg.shards;
   // Spatially contiguous strips: cross-shard traffic only crosses strip
   // boundaries, so almost all deliveries stay on the owning shard's
-  // zero-alloc pipeline. May yield fewer shards than asked for. The
-  // strip intervals are fixed geography for the run; under mobility
-  // shard_of_ is the live assignment and drifts from them until a
-  // migration pass re-homes the movers.
-  part_ = phy::partition_strips(topo_, want);
-  shard_of_ = std::move(part_.assignment);
-  // Cross-shard handoffs are stamped one slot ahead — except under CSMA,
-  // where carrier mirrors ride at half a backoff unit (see csma_mac.h).
-  lookahead_ =
-      cfg_.mac_kind == mac::Mac::kCsma ? 0.5 * cfg_.slot_duration_s
-                                       : cfg_.slot_duration_s;
-  // Under sharded mobility every shard replays the whole trajectory on
-  // its own Topology replica (identical seed => identical positions at
-  // every virtual time, no shared writes); K = 1 keeps the master
-  // topology live exactly as before.
-  const bool replicate = part_.shard_count > 1 && cfg.mobility.has_value();
-  shards_.reserve(part_.shard_count);
-  for (std::size_t s = 0; s < part_.shard_count; ++s)
-    shards_.push_back(std::make_unique<Shard>(cfg_, topo_, replicate));
+  // zero-alloc pipeline. May yield fewer shards than asked for.
+  const phy::Partition part =
+      phy::partition_strips(topo_, cfg_.shards == 0 ? 1 : cfg_.shards);
+  shard_of_ = part.assignment;
+  shards_.reserve(part.shard_count);
+  for (std::size_t s = 0; s < part.shard_count; ++s)
+    shards_.push_back(std::make_unique<Shard>(cfg_, topo_));
 
-  if (cfg.mobility) {
-    if (shards_.size() == 1) {
-      mobility_ = std::make_unique<phy::RandomWaypoint>(
-          shards_[0]->sim, topo_, *cfg.mobility, rng_.derive("mobility"));
-    } else {
-      // derive() is a const read of the master stream: every replica
-      // gets the same generator the K = 1 path would.
-      for (auto& sh : shards_)
-        sh->mobility = std::make_unique<phy::RandomWaypoint>(
-            sh->sim, *sh->topo_replica, *cfg.mobility,
-            rng_.derive("mobility"));
-      // Migration barriers: a whole number of lookahead horizons per
-      // epoch, so barriers always land on runner synchronization points.
-      const double want_epoch =
-          std::max(cfg_.migration_epoch_s, lookahead_);
-      epoch_s_ = lookahead_ *
-                 std::max<double>(1.0, std::llround(want_epoch / lookahead_));
-      master_gen_cursor_ = shards_[0]->topo_replica->generation();
-    }
-  }
-  pinned_.assign(topo_.size(), false);
-  nodes_.reserve(topo_.size());
-  for (core::NodeId id = 0; id < topo_.size(); ++id) {
-    Shard& sh = shard_at(id);
-    nodes_.push_back(std::make_unique<Node>(id, sh.fabric->mac_of(id),
-                                            *sh.routing, flows_, sh.pool,
-                                            cfg.node));
-  }
+  if (cfg_.mobility)
+    mobility_ = std::make_unique<phy::RandomWaypoint>(
+        shards_[0]->sim, topo_, *cfg_.mobility, rng_.derive("mobility"));
   // Fabric delivery: successful transmissions land at the destination
   // node's stack. The dispatch seam routes the delivery event to the
   // destination's shard (and under K = 1 degenerates to the same-shard
   // path); the plain deliver hook remains for MACs that do not take the
-  // seam. Hooks go on every shard's replica of every MAC: migration can
-  // make any replica the live one, and on non-owning replicas they are
-  // inert (a replica MAC never transmits until a node binds to it).
-  for (auto& sh : shards_) {
-    for (core::NodeId id = 0; id < topo_.size(); ++id) {
-      mac::MacIface& m = sh->fabric->mac_of(id);
-      m.set_deliver(
-          [this](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
-            nodes_.at(to)->handle_delivery(std::move(p), from);
-          });
-      m.set_dispatch([this](double delay_s, core::PacketPtr&& p,
-                            core::NodeId from, core::NodeId to) {
-        dispatch_delivery(delay_s, std::move(p), from, to);
-      });
-    }
+  // seam. Only the owning shard's replica of a node's MAC ever runs, so
+  // only it is wired.
+  nodes_.reserve(topo_.size());
+  for (core::NodeId id = 0; id < topo_.size(); ++id) {
+    Shard& sh = shard_at(id);
+    mac::MacIface& m = sh.fabric->mac_of(id);
+    nodes_.push_back(std::make_unique<Node>(id, m, *sh.routing, flows_,
+                                            sh.pool, cfg_.node));
+    m.set_deliver(
+        [this](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
+          nodes_.at(to)->handle_delivery(std::move(p), from);
+        });
+    m.set_dispatch([this](double delay_s, core::PacketPtr&& p,
+                          core::NodeId from, core::NodeId to) {
+      dispatch_delivery(delay_s, std::move(p), from, to);
+    });
   }
   if (shards_.size() > 1) {
     std::vector<sim::Simulator*> sims;
     sims.reserve(shards_.size());
     for (auto& sh : shards_) sims.push_back(&sh->sim);
     sim::ShardedRunner::Config rcfg;
-    rcfg.lookahead = lookahead_;
+    rcfg.lookahead = cfg_.slot_duration_s;
     runner_ = std::make_unique<sim::ShardedRunner>(std::move(sims), rcfg);
-  }
-  if (runner_ && cfg_.mac_kind == mac::Mac::kCsma) {
-    // Carrier coupling across strips. A frame begun in shard s must be
-    // mirrored into every strip where it could change a CCA read or a
-    // collision verdict: its sender can be heard up to R from itself,
-    // and it can collide at a victim receiver up to R away whose own
-    // sender sits another R beyond — so 2R around the sender's captured
-    // x, inflated by how far live positions can drift from the bounds
-    // snapshot (position-update granularity, route staleness toward an
-    // out-of-date next hop, and a whole epoch between bound refreshes).
-    double slack = 0.0;
-    if (cfg_.mobility)
-      slack = cfg_.mobility->speed_mps * 2.0 *
-              (epoch_s_ + cfg_.routing.refresh_interval_s +
-               cfg_.mobility->update_interval_s);
-    mirror_margin_ = 2.0 * topo_.radio_range() + slack;
-    owned_lo_.assign(shards_.size(), 0.0);
-    owned_hi_.assign(shards_.size(), 0.0);
-    refresh_owned_bounds();
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      shards_[s]->fabric->set_tx_mirror(
-          [this, s](const mac::CsmaTxRecord& r) { post_csma_mirror(s, r); });
   }
 }
 
@@ -185,26 +134,6 @@ void Network::execute_delivery(core::PacketPtr&& p, core::NodeId from,
   nodes_.at(to)->handle_delivery(std::move(p), from);
 }
 
-void Network::post_csma_mirror(std::size_t from, const mac::CsmaTxRecord& r) {
-  sim::Simulator& ssim = shards_[from]->sim;
-  // begin_tx runs at r.start; the mirror rides exactly one lookahead
-  // (half a backoff unit) ahead — off the backoff grid, so it can never
-  // tie with a native MAC event in the receiving shard.
-  const double at = r.start + 0.5 * cfg_.slot_duration_s;
-  const double x = r.sender_pos.x;
-  for (std::size_t st = 0; st < shards_.size(); ++st) {
-    if (st == from) continue;
-    if (owned_lo_[st] > owned_hi_[st]) continue;  // strip owns nothing
-    if (x < owned_lo_[st] - mirror_margin_ ||
-        x > owned_hi_[st] + mirror_margin_)
-      continue;
-    const std::uint64_t tie = ssim.draw_tie(ssim.context());
-    runner_->post(from, st, at, tie, r.sender + 1, [this, st, r] {
-      shards_[st]->fabric->register_remote_tx(r, shards_[st]->sim.now());
-    });
-  }
-}
-
 void Network::schedule_at_node(core::NodeId id, double at,
                                std::function<void()> fn) {
   sim::Simulator& s = shard_at(id).sim;
@@ -223,10 +152,10 @@ void Network::defer_from_to(core::NodeId from, core::NodeId to, double delay,
     ssim.at_keyed(at, tie, owner, std::move(fn));
     return;
   }
-  if (delay < lookahead_)
+  if (delay < cfg_.slot_duration_s)
     throw std::logic_error(
-        "defer_from_to: cross-shard delay below the lookahead horizon "
-        "(lookahead_s()); raise the delay or set NetworkConfig::shards = 1");
+        "defer_from_to: cross-shard delay below one slot (the runner's "
+        "lookahead); raise the delay or set NetworkConfig::shards = 1");
   runner_->post(sf, st, at, tie, owner, std::move(fn));
 }
 
@@ -268,10 +197,6 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
   node(src).attach_ack_handler(
       flow, [snd](const core::Packet& p) { snd->on_ack(p); });
 
-  // Endpoint transports hold their home shard's Env; the nodes stay put.
-  pinned_.at(src) = true;
-  pinned_.at(dst) = true;
-
   FlowHandle h;
   h.proto = proto;
   h.id = flow;
@@ -291,115 +216,11 @@ void Network::run_until(double t) {
     // recompute (that would be an oracle, and the staleness is part of
     // what Fig. 11 measures).
     if (mobility_) mobility_->start();
-    for (auto& sh : shards_)
-      if (sh->mobility) sh->mobility->start();
   }
-  if (!runner_) {
-    shards_[0]->sim.run_until(t);
-    return;
-  }
-  if (epoch_s_ <= 0.0) {  // static topology: one uninterrupted span
+  if (runner_)
     runner_->run_until(t);
-    return;
-  }
-  // Sharded mobility: chunk the run into migration epochs. Each barrier
-  // lands every shard's clock on the same multiple of the lookahead, so
-  // the hand-over below runs strictly single-threaded between spans.
-  while (shards_[0]->sim.now() < t) {
-    const double now = shards_[0]->sim.now();
-    double next =
-        (std::floor(now / epoch_s_ + 1e-9) + 1.0) * epoch_s_;
-    if (next <= now) next = now + epoch_s_;
-    if (next >= t) {
-      runner_->run_until(t);
-      break;
-    }
-    runner_->run_until(next);
-    migration_barrier();
-  }
-  sync_master_topology();  // callers read final positions off the master
-}
-
-void Network::sync_master_topology() {
-  if (shards_.empty() || !shards_[0]->topo_replica) return;
-  const phy::Topology& rep = *shards_[0]->topo_replica;
-  if (rep.generation() == master_gen_cursor_) return;
-  std::vector<core::NodeId> moved;
-  if (rep.moved_since(master_gen_cursor_, moved)) {
-    for (core::NodeId id : moved) topo_.set_position(id, rep.position(id));
-  } else {
-    // Move ring overflowed this window: full positional diff.
-    for (core::NodeId id = 0; id < topo_.size(); ++id) {
-      const phy::Position& a = topo_.position(id);
-      const phy::Position& b = rep.position(id);
-      if (a.x != b.x || a.y != b.y) topo_.set_position(id, b);
-    }
-  }
-  master_gen_cursor_ = rep.generation();
-}
-
-void Network::refresh_owned_bounds() {
-  if (owned_lo_.empty()) return;  // only kept for sharded CSMA runs
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::fill(owned_lo_.begin(), owned_lo_.end(), kInf);
-  std::fill(owned_hi_.begin(), owned_hi_.end(), -kInf);
-  for (core::NodeId i = 0; i < topo_.size(); ++i) {
-    const std::size_t s = shard_of_[i];
-    const double x = topo_.position(i).x;
-    owned_lo_[s] = std::min(owned_lo_[s], x);
-    owned_hi_[s] = std::max(owned_hi_[s], x);
-  }
-}
-
-void Network::migration_barrier() {
-  ++mig_stats_.barriers;
-  sync_master_topology();
-  refresh_owned_bounds();
-  const std::size_t n = topo_.size();
-  std::size_t out = 0;
-  for (core::NodeId i = 0; i < n; ++i)
-    if (part_.shard_for_x(topo_.position(i).x) != shard_of_[i]) ++out;
-  mig_stats_.out_of_strip_last = out;
-  if (static_cast<double>(out) <=
-      cfg_.halo_threshold * static_cast<double>(n))
-    return;
-  ++mig_stats_.handoff_passes;
-  for (core::NodeId i = 0; i < n; ++i) {
-    const std::size_t target = part_.shard_for_x(topo_.position(i).x);
-    if (target == shard_of_[i]) continue;
-    if (pinned_[i]) {
-      ++mig_stats_.pinned;
-      continue;
-    }
-    Shard& src = *shards_[shard_of_[i]];
-    // Quiescence gate: nothing queued or in the air at the MAC, and no
-    // pending event executing as this node (deliveries in flight toward
-    // it, armed backoff timers, deferred control). Anything else waits
-    // for a later barrier — correctness never depends on moving.
-    if (!src.fabric->mac_of(i).migration_idle() ||
-        src.sim.has_pending_owner(i + 1)) {
-      ++mig_stats_.deferred;
-      continue;
-    }
-    migrate_node(i, target);
-  }
-}
-
-void Network::migrate_node(core::NodeId id, std::size_t to) {
-  Shard& src = *shards_[shard_of_[id]];
-  Shard& dst = *shards_[to];
-  // Order matters only for readability — the node is quiescent, so each
-  // piece moves independently: MAC counters/estimator/backoff state,
-  // the channel's directed loss streams keyed by this sender, the
-  // energy tally (bit-exact: the new shard continues the old sum), and
-  // finally the stack rebind onto the new bundle.
-  dst.fabric->mac_of(id).adopt_state(src.fabric->mac_of(id));
-  dst.channel.adopt_sender_streams(id, src.channel);
-  dst.energy.set_node_energy(id, src.energy.node_energy(id));
-  src.energy.set_node_energy(id, 0.0);
-  nodes_.at(id)->rebind(dst.fabric->mac_of(id), *dst.routing, dst.pool);
-  shard_of_[id] = to;
-  ++mig_stats_.migrations;
+  else
+    shards_[0]->sim.run_until(t);
 }
 
 std::uint64_t Network::total_queue_drops() const {

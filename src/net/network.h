@@ -10,50 +10,31 @@
 // names. This is the "adaptation layer" through which experiments and
 // examples use the library.
 //
-// Sharded execution (NetworkConfig::shards > 1): the node set is cut
+// Sharded execution (NetworkConfig::shards > 1) is for static fields
+// under the slotted MACs (tdma, tdma_reuse) only. The node set is cut
 // into spatially contiguous strips (phy::partition_strips) and each
-// strip gets a full per-shard simulation bundle — packet pool,
-// Simulator, Channel, EnergyModel, routing view, SimEnv, MAC fabric —
-// run in parallel by a sim::ShardedRunner with lookahead equal to the
-// slot duration (half of it under CSMA; see below). Node i's entire
-// stack (MAC queue, timers, packets, energy tally) lives in
-// shard_of(i); same-shard deliveries use the existing zero-alloc
-// pipeline unchanged, cross-shard deliveries are re-pooled through the
-// runner's mailboxes. Channel fading and loss streams are keyed per
-// link, the TDMA schedule is a pure function of seed and topology, and
-// event tie-break keys are drawn per owning node — so results are
-// byte-identical for every shard count, K = 1 included (K = 1 builds no
-// runner and collapses to the plain single-threaded loop).
+// strip gets a per-shard simulation bundle — packet pool, Simulator,
+// Channel, EnergyModel, routing view, SimEnv, MAC fabric — over the one
+// shared topology, run in parallel by a sim::ShardedRunner with
+// lookahead equal to the slot duration. Node i's entire stack (MAC
+// queue, timers, packets, energy tally) lives in its owning shard;
+// same-shard deliveries use the zero-alloc pipeline unchanged,
+// cross-shard deliveries are re-pooled through the runner's mailboxes.
+// Channel fading and loss streams are keyed per link, the TDMA schedule
+// is a pure function of seed and topology, and event tie-break keys are
+// drawn per owning node — so results are byte-identical for every shard
+// count, K = 1 included (K = 1 builds no runner and collapses to the
+// plain single-threaded loop).
 //
-// Mobility under shards > 1: each shard carries its own Topology +
-// RandomWaypoint replica, seeded identically — every replica replays
-// the exact same trajectory from its own clock, so position reads are
-// consistent across shards at every virtual time without any shared
-// writes. Drift is handled by a migration layer: the run is chunked
-// into epochs aligned to the lookahead horizon, and at each barrier the
-// master topology is re-synced from replica 0 via Topology::moved_since
-// and the halo occupancy (nodes outside their home strip) is measured.
-// When it exceeds NetworkConfig::halo_threshold, drifted nodes whose
-// stacks are quiescent are handed to the strip that now contains them:
-// the MAC replica on the new shard adopts counters/estimator/backoff
-// state, the channel's directed loss streams move (Channel::
-// adopt_sender_streams), the energy tally transfers bit-exactly, and
-// the Node rebinds onto the new bundle. Migration is pure locality
-// optimization — event keys and draw streams are unchanged by it, so
-// results stay byte-identical whether or not any node ever moves shard.
-//
-// CSMA under shards > 1: each shard's CsmaMedium is one carrier domain;
-// transmissions begun near a strip edge are mirrored into the audible
-// peer domains through the runner's rings, stamped half a backoff unit
-// after their start (which is why the runner's lookahead is
-// slot_duration / 2 for CSMA runs). The medium's grid-aligned,
-// one-unit-sensing-latency, captured-position semantics (see
-// mac/csma_mac.h) make every CCA and collision verdict a function of
-// record contents alone — K-invariant by construction.
+// Mobile and CSMA runs do not shard: at n = 1000 neither reached the
+// 1.5x speed-up that pays for the machinery (mobile tdma_reuse ran
+// slower at K = 4). shard_config_error() words the rule; the constructor
+// throws std::invalid_argument on a config that breaks it.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/transport.h"
@@ -64,7 +45,6 @@
 #include "phy/channel.h"
 #include "phy/energy_model.h"
 #include "phy/mobility.h"
-#include "phy/partition.h"
 #include "phy/topology.h"
 #include "routing/link_state.h"
 #include "sim/random.h"
@@ -84,30 +64,20 @@ struct NetworkConfig {
   double slot_duration_s = 0.035;  // ~ one max-size packet airtime
   std::optional<phy::MobilityConfig> mobility;  // engaged => nodes move
   // Parallel shards to run the event loop on (1 = classic serial loop).
-  // Works with every MAC and with mobility; the effective count can be
-  // lower than requested when the field is narrower than K radio ranges
-  // (see shard_count()).
+  // > 1 needs a static field under tdma or tdma_reuse (see
+  // shard_config_error); the effective count can be lower than requested
+  // when the field is narrower than K radio ranges (see shard_count()).
   std::size_t shards = 1;
-  // Shard-aware mobility: target spacing of migration barriers (rounded
-  // to a whole number of lookahead horizons), and the fraction of nodes
-  // that must sit outside their home strip before a hand-over pass
-  // runs. Only consulted when shards > 1 and mobility is engaged.
-  double migration_epoch_s = 1.0;
-  double halo_threshold = 0.02;
 };
 
-// Shard-migration accounting (diagnostic; see Network::migration_stats).
-struct MigrationStats {
-  std::uint64_t barriers = 0;        // epoch barriers evaluated
-  std::uint64_t handoff_passes = 0;  // barriers over the halo threshold
-  std::uint64_t migrations = 0;      // nodes handed to a new shard
-  std::uint64_t deferred = 0;        // drifted but stack not quiescent
-  std::uint64_t pinned = 0;          // drifted flow endpoints kept home
-  std::size_t out_of_strip_last = 0; // drifted nodes at the last barrier
-};
+// Why a run with `shards` event-loop shards, this MAC and (if `mobile`)
+// moving nodes cannot shard, or "" when it can. Only static fields under
+// tdma or tdma_reuse shard; shards <= 1 always passes.
+std::string shard_config_error(std::size_t shards, mac::Mac mac, bool mobile);
 
 class Network {
  public:
+  // Throws std::invalid_argument when shard_config_error objects to cfg.
   Network(phy::Topology topology, NetworkConfig cfg = {});
   ~Network();
   Network(const Network&) = delete;
@@ -118,8 +88,7 @@ class Network {
   // it to the src/dst nodes, and returns the uniform handle. The flow is
   // idle until start() is invoked on it (FlowManager does the
   // scheduling). Throws std::invalid_argument on out-of-range endpoints
-  // or an unregistered protocol. Endpoint nodes are pinned to their home
-  // shards (their transports hold that shard's Env).
+  // or an unregistered protocol.
   FlowHandle add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                       const FlowOptions& opt = {});
 
@@ -129,10 +98,7 @@ class Network {
   sim::Simulator& simulator() { return shards_[0]->sim; }
   core::Env& env() { return shards_[0]->env; }
   core::PacketPool& packet_pool() { return shards_[0]->pool; }
-  // The master topology. Under sharded mobility the per-shard replicas
-  // advance during a run and the master is re-synced at every migration
-  // barrier and at run_until return — between calls it reflects the
-  // latest barrier, not mid-epoch motion.
+  // The one topology every shard reads (mobility moves it in place).
   phy::Topology& topology() { return topo_; }
   phy::Channel& channel() { return shards_[0]->channel; }
   phy::EnergyModel& energy() { return shards_[0]->energy; }
@@ -140,9 +106,7 @@ class Network {
   const mac::MacFabric& mac_fabric() const { return *shards_[0]->fabric; }
   Node& node(core::NodeId id) { return *nodes_.at(id); }
   // The MAC instance that owns node `id`'s queues and counters (its
-  // owning shard's fabric; under K = 1, the only fabric). Migration
-  // moves the counters with the node, so this is always the replica
-  // with the full history.
+  // owning shard's fabric; under K = 1, the only fabric).
   mac::MacIface& mac_of(core::NodeId id) {
     return shard_at(id).fabric->mac_of(id);
   }
@@ -152,8 +116,6 @@ class Network {
 
   // --- shard-aware access ---
   std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(core::NodeId id) const { return shard_of_.at(id); }
-  sim::Simulator& sim_for(core::NodeId id) { return shard_at(id).sim; }
   core::Env& env_for(core::NodeId id) { return shard_at(id).env; }
   double now_at(core::NodeId id) const {
     return shards_[shard_of_.at(id)]->sim.now();
@@ -162,14 +124,6 @@ class Network {
   // barriers; this is shard 0's clock).
   double now() const { return shards_[0]->sim.now(); }
   double slot_duration_s() const { return cfg_.slot_duration_s; }
-  // The runner's cross-shard lookahead: slot_duration, except CSMA runs
-  // where the mirror protocol needs half of it.
-  double lookahead_s() const { return lookahead_; }
-  // Cross-shard deliveries routed through the runner (0 under K = 1).
-  std::uint64_t cross_shard_messages() const {
-    return runner_ ? runner_->messages_posted() : 0;
-  }
-  const MigrationStats& migration_stats() const { return mig_stats_; }
 
   // Schedules `fn` at absolute time `at` in node `id`'s shard, executing
   // as that node (tie-break keys it draws come from the node's own
@@ -179,14 +133,13 @@ class Network {
 
   // Schedules `fn` `delay` from now at node `to`'s shard, from code
   // currently executing in node `from`'s shard. Safe during a run;
-  // `delay` must be >= lookahead_s() when the nodes live in different
-  // shards.
+  // `delay` must be >= slot_duration_s() (the runner's lookahead) when
+  // the nodes live in different shards.
   void defer_from_to(core::NodeId from, core::NodeId to, double delay,
                      std::function<void()> fn);
 
   // Starts routing refresh (and mobility if configured) and runs the
-  // simulation until `t`. Under sharded mobility the run pauses at
-  // migration barriers every ~migration_epoch_s of virtual time.
+  // simulation until `t`.
   void run_until(double t);
 
   // --- aggregate counters across nodes ---
@@ -209,18 +162,11 @@ class Network {
   std::vector<core::Joules> per_node_energy() const;
 
  private:
-  // One shard's full simulation bundle. The pool precedes the simulator:
+  // One shard's simulation bundle. The pool precedes the simulator:
   // pending delivery events hold packet handles, and destroying the
-  // simulator releases them back into the pool (see sim_env.h). The
-  // topology replica (engaged only under sharded mobility) precedes
-  // everything that reads it; the mobility replica, which writes it and
-  // schedules on the simulator, comes last.
+  // simulator releases them back into the pool (see sim_env.h).
   struct Shard {
-    Shard(const NetworkConfig& cfg, const phy::Topology& master,
-          bool replicate_topo);
-    const phy::Topology& topo() const { return *topo_view; }
-    std::unique_ptr<phy::Topology> topo_replica;  // null when static/K=1
-    const phy::Topology* topo_view = nullptr;     // replica or master
+    Shard(const NetworkConfig& cfg, const phy::Topology& topo);
     core::PacketPool pool;
     sim::Simulator sim;
     phy::Channel channel;
@@ -228,7 +174,6 @@ class Network {
     std::unique_ptr<routing::LinkStateRouting> routing;
     SimEnv env;
     std::unique_ptr<mac::MacFabric> fabric;
-    std::unique_ptr<phy::RandomWaypoint> mobility;  // replica driver
   };
 
   Shard& shard_at(core::NodeId id) { return *shards_[shard_of_.at(id)]; }
@@ -241,42 +186,20 @@ class Network {
   void execute_delivery(core::PacketPtr&& p, core::NodeId from,
                         core::NodeId to);
 
-  // CSMA mirror fan-out: posts shard `from`'s new transmission record to
-  // every peer strip it could be audible in, stamped start + unit/2.
-  void post_csma_mirror(std::size_t from, const mac::CsmaTxRecord& r);
-
-  // --- shard-aware mobility internals (barrier-time, single-threaded) ---
-  void sync_master_topology();    // master <- replica 0, via moved_since
-  void refresh_owned_bounds();    // per-shard owned-x intervals + margin
-  void migration_barrier();       // halo metric + hand-over pass
-  void migrate_node(core::NodeId id, std::size_t to);
-
   core::FlowId next_flow_id_ = 1;
 
   NetworkConfig cfg_;
   sim::Rng rng_;
   phy::Topology topo_;
-  phy::Partition part_;                // home strips (fixed geography)
-  std::vector<std::size_t> shard_of_;  // node -> owning shard (live)
+  std::vector<std::size_t> shard_of_;  // node -> owning shard
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<phy::RandomWaypoint> mobility_;  // K = 1 only
+  std::unique_ptr<phy::RandomWaypoint> mobility_;  // moves topo_
   FlowTable flows_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // Declared after shards_ (it holds raw Simulator pointers) and before
   // the endpoints; null under K = 1.
   std::unique_ptr<sim::ShardedRunner> runner_;
   bool started_ = false;
-
-  double lookahead_ = 0.0;
-  double epoch_s_ = 0.0;             // barrier spacing (0 = no barriers)
-  std::uint64_t master_gen_cursor_ = 0;  // replica-0 generation synced
-  std::vector<bool> pinned_;         // flow endpoints never migrate
-  MigrationStats mig_stats_;
-  // Per-shard owned-node x bounds (+ margin) for CSMA mirror targeting;
-  // refreshed at construction and at every migration barrier.
-  std::vector<double> owned_lo_;
-  std::vector<double> owned_hi_;
-  double mirror_margin_ = 0.0;
 
   // Endpoint storage (stable addresses; destroyed before nodes/macs by
   // reverse member order).

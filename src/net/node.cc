@@ -9,29 +9,17 @@ Node::Node(core::NodeId id, mac::MacIface& mac,
            const routing::LinkStateRouting& routing, const FlowTable& flows,
            core::PacketPool& pool, NodeConfig cfg)
     : id_(id),
-      mac_(&mac),
-      routing_(&routing),
+      mac_(mac),
+      routing_(routing),
       flows_(flows),
-      pool_(&pool),
+      pool_(pool),
       cfg_(cfg),
       ijtp_(cfg.ijtp) {
-  install_pre_xmit();
-}
-
-void Node::install_pre_xmit() {
-  mac_->set_pre_xmit([this](core::Packet& p, core::NodeId next_hop,
-                            const core::LinkView& link, core::Joules tx_energy,
-                            bool first_attempt) {
+  mac_.set_pre_xmit([this](core::Packet& p, core::NodeId next_hop,
+                           const core::LinkView& link, core::Joules tx_energy,
+                           bool first_attempt) {
     return pre_xmit(p, next_hop, link, tx_energy, first_attempt);
   });
-}
-
-void Node::rebind(mac::MacIface& mac, const routing::LinkStateRouting& routing,
-                  core::PacketPool& pool) {
-  mac_ = &mac;
-  routing_ = &routing;
-  pool_ = &pool;
-  install_pre_xmit();
 }
 
 void Node::attach_data_handler(core::FlowId flow, PacketHandler h) {
@@ -45,13 +33,13 @@ void Node::attach_ack_handler(core::FlowId flow, PacketHandler h) {
 void Node::send(core::PacketPtr p) { try_send(std::move(p)); }
 
 bool Node::try_send(core::PacketPtr p) {
-  const auto next = routing_->next_hop(id_, p->dst);
+  const auto next = routing_.next_hop(id_, p->dst);
   if (!next) {
     // The current topology view has no route (partition or staleness).
     ++route_drops_;
     return false;
   }
-  return mac_->enqueue(std::move(p), *next);
+  return mac_.enqueue(std::move(p), *next);
 }
 
 mac::PreXmitDecision Node::pre_xmit(core::Packet& p, core::NodeId /*next_hop*/,
@@ -67,11 +55,11 @@ mac::PreXmitDecision Node::pre_xmit(core::Packet& p, core::NodeId /*next_hop*/,
       // goal 3). The baselines stamp the raw estimate.
       core::LinkView adjusted = link;
       const double backlog_pps =
-          static_cast<double>(mac_->queue_length()) /
+          static_cast<double>(mac_.queue_length()) /
           cfg_.backlog_drain_horizon_s;
       adjusted.available_rate_pps =
           std::max(0.0, adjusted.available_rate_pps - backlog_pps);
-      const auto remaining = routing_->hops(id_, p.dst);
+      const auto remaining = routing_.hops(id_, p.dst);
       const auto r = ijtp_.pre_xmit(p, adjusted, remaining.value_or(1),
                                     tx_energy, first_attempt);
       return {r.drop, r.max_attempts};
@@ -86,9 +74,9 @@ mac::PreXmitDecision Node::pre_xmit(core::Packet& p, core::NodeId /*next_hop*/,
       // attempt control, energy budgeting, or cache interplay either.
       if (p.is_data()) {
         const double capacity =
-            mac_->estimator().config().node_capacity_pps;
+            mac_.estimator().config().node_capacity_pps;
         const double sustainable =
-            capacity / static_cast<double>(mac_->queue_length() + 1);
+            capacity / static_cast<double>(mac_.queue_length() + 1);
         p.available_rate_pps =
             std::min(p.available_rate_pps, sustainable);
       }
@@ -110,7 +98,7 @@ void Node::handle_delivery(core::PacketPtr p, core::NodeId /*from*/) {
   // Packet values (headers only); they enter the pool here.
   if (!local && flows_.policy(p->flow) == HopPolicy::kIjtp) {
     ijtp_.post_rcv(*p, [this](core::Packet&& rtx) {
-      return try_send(pool_->make(std::move(rtx)));
+      return try_send(pool_.make(std::move(rtx)));
     });
   }
 

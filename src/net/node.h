@@ -69,15 +69,7 @@ class Node final : public core::PacketSink {
   core::NodeId id() const { return id_; }
   core::IjtpModule& ijtp() { return ijtp_; }
   const core::IjtpModule& ijtp() const { return ijtp_; }
-  mac::MacIface& mac() { return *mac_; }
-
-  // Shard migration: rebinds the stack onto the new owning shard's
-  // replicas — the adopted MAC (which has already copied the old one's
-  // state), that shard's routing view and packet pool — and re-installs
-  // the pre-xmit hook on the new MAC. Called only at epoch barriers,
-  // with both MACs quiescent.
-  void rebind(mac::MacIface& mac, const routing::LinkStateRouting& routing,
-              core::PacketPool& pool);
+  mac::MacIface& mac() { return mac_; }
 
   // PacketSink: local endpoints and the forwarding path inject here.
   // Packets move by pooled handle end to end (zero copies per hop).
@@ -105,15 +97,11 @@ class Node final : public core::PacketSink {
                                 const core::LinkView& link,
                                 core::Joules tx_energy, bool first_attempt);
 
-  void install_pre_xmit();
-
   core::NodeId id_;
-  // Pointers, not references: migration rebinds them to another shard's
-  // replicas mid-run (rebind()).
-  mac::MacIface* mac_;
-  const routing::LinkStateRouting* routing_;
+  mac::MacIface& mac_;
+  const routing::LinkStateRouting& routing_;
   const FlowTable& flows_;
-  core::PacketPool* pool_;
+  core::PacketPool& pool_;
   NodeConfig cfg_;
   core::IjtpModule ijtp_;
 

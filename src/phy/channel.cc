@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 namespace jtp::phy {
 
@@ -65,23 +64,6 @@ sim::Rng& Channel::loss_rng_for(core::NodeId a, core::NodeId b) {
   const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
   return loss_.find_or_create(key,
                               [&] { return master_.derive("loss", key); });
-}
-
-void Channel::adopt_sender_streams(core::NodeId sender, Channel& from) {
-  if (&from == this) return;
-  // Collect-then-move, sorted by key: for_each walks bucket order, which
-  // depends on table layout history, and the insert order below must not.
-  std::vector<std::pair<std::uint64_t, sim::Rng>> moved;
-  from.loss_.for_each([&](std::uint64_t key, sim::Rng& rng) {
-    if ((key >> 32) == sender) moved.emplace_back(key, rng);
-  });
-  std::sort(moved.begin(), moved.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [key, rng] : moved) {
-    sim::Rng& dst = loss_.find_or_create(key, [&] { return rng; });
-    dst = rng;
-    from.loss_.erase(key);
-  }
 }
 
 bool Channel::transmission_lost(core::NodeId a, core::NodeId b,

@@ -55,18 +55,6 @@ class Channel {
   const ChannelConfig& config() const { return cfg_; }
   double mean_good_dwell_s() const;
 
-  // Shard-migration handoff: moves every directed loss stream whose
-  // sender is `sender` out of `from` into this channel (overwriting any
-  // stream this replica lazily created for the same link), erasing them
-  // from the source. Loss draws happen once per MAC attempt on the
-  // sender's shard only, so after the MAC state moves, the stream
-  // positions must move with it — otherwise the adopting replica would
-  // restart each stream from its key-derived seed and diverge from the
-  // K = 1 draw sequence. Dwell (fading) state needs no handoff: its
-  // timeline is a pure function of the link key and the clock, so any
-  // replica replays it identically (see LinkState).
-  void adopt_sender_streams(core::NodeId sender, Channel& from);
-
   ChannelStats stats() const {
     return {links_.stats(), loss_.stats(), links_.size(), loss_.size()};
   }

@@ -47,15 +47,6 @@ class EnergyModel {
   void charge_tx(core::NodeId node, double bits);
   void charge_rx(core::NodeId node, double bits);
 
-  // Overwrites a node's tally (the shard-migration handoff: the adopting
-  // shard is set to the bit-exact source value, the source zeroed, so
-  // the owning-shard read in Network::node_energy stays byte-identical
-  // across any migration history). The total is adjusted by the delta.
-  void set_node_energy(core::NodeId node, core::Joules j) {
-    total_ += j - per_node_.at(node);
-    per_node_.at(node) = j;
-  }
-
   core::Joules node_energy(core::NodeId node) const { return per_node_.at(node); }
   core::Joules total_energy() const { return total_; }
   const std::vector<core::Joules>& per_node() const { return per_node_; }

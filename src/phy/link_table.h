@@ -11,12 +11,9 @@
 // single slab access.
 //
 // Layout invariants:
-//  - Slots are trivially copyable and never referenced by buckets while
-//    free; erased slots chain through an intrusive freelist threaded
-//    through the key field, so reuse costs no allocation.
-//  - The bucket array holds slot indices (kNil = empty) and is kept
-//    tombstone-free by backward-shift deletion, so probe runs never
-//    degrade as links churn.
+//  - Entries are never removed: a link's state lives for the whole run,
+//    so the slab only grows and the bucket array (slot indices, kNil =
+//    empty) never holds a tombstone.
 //  - References returned by find/find_or_create stay valid only until
 //    the next insert (the slab may grow); the channel holds them
 //    transiently within one call.
@@ -61,21 +58,9 @@ class PackedLinkTable {
     buckets_.assign(b, kNil);
   }
 
-  std::size_t size() const { return live_; }
+  std::size_t size() const { return slots_.size(); }
   std::size_t bucket_count() const { return buckets_.size(); }
   const LinkTableStats& stats() const { return stats_; }
-
-  // Visits every live (key, value) pair in bucket order. Bucket order is
-  // layout-dependent — callers that need determinism (the migration path
-  // collecting a node's loss streams) must sort what they collect by key
-  // before acting on it.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (const std::uint32_t idx : buckets_) {
-      if (idx == kNil) continue;
-      fn(slots_[idx].key, slots_[idx].value);
-    }
-  }
 
   // Pointer to the value for `key`, or nullptr. Valid until next insert.
   V* find(std::uint64_t key) {
@@ -93,49 +78,13 @@ class PackedLinkTable {
     std::size_t pos = probe(key);
     if (buckets_[pos] != kNil) return slots_[buckets_[pos]].value;
     ++stats_.inserts;
-    if ((live_ + 1) * kMaxLoadDen > buckets_.size() * kMaxLoadNum) {
+    if ((slots_.size() + 1) * kMaxLoadDen > buckets_.size() * kMaxLoadNum) {
       rehash(buckets_.size() * 2);
       pos = probe(key);
     }
-    std::uint32_t idx;
-    if (free_head_ != kNil) {
-      idx = free_head_;
-      free_head_ = static_cast<std::uint32_t>(slots_[idx].key);
-      slots_[idx].key = key;
-      slots_[idx].value = make();
-    } else {
-      idx = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(Slot{key, make()});
-    }
-    buckets_[pos] = idx;
-    ++live_;
-    return slots_[idx].value;
-  }
-
-  // Removes `key` if present. The bucket run is re-packed in place
-  // (backward shift), so the table never accumulates tombstones.
-  bool erase(std::uint64_t key) {
-    ++stats_.lookups;
-    std::size_t hole = probe(key);
-    if (buckets_[hole] == kNil) return false;
-    const std::uint32_t idx = buckets_[hole];
-    slots_[idx].key = free_head_;  // intrusive freelist through the key
-    free_head_ = idx;
-    --live_;
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t j = (hole + 1) & mask;
-    while (buckets_[j] != kNil) {
-      const std::size_t ideal = home(slots_[buckets_[j]].key);
-      // Entry at j may fill the hole iff the hole lies within its probe
-      // run, i.e. no closer to its home than j is (cyclic distances).
-      if (((j - ideal) & mask) >= ((j - hole) & mask)) {
-        buckets_[hole] = buckets_[j];
-        hole = j;
-      }
-      j = (j + 1) & mask;
-    }
-    buckets_[hole] = kNil;
-    return true;
+    buckets_[pos] = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{key, make()});
+    return slots_.back().value;
   }
 
  private:
@@ -181,10 +130,8 @@ class PackedLinkTable {
     }
   }
 
-  std::vector<Slot> slots_;            // slab: live + freelisted values
+  std::vector<Slot> slots_;            // slab, in insertion order
   std::vector<std::uint32_t> buckets_; // pow2 index array, kNil = empty
-  std::uint32_t free_head_ = kNil;
-  std::size_t live_ = 0;
   LinkTableStats stats_;
 };
 

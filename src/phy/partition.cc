@@ -37,9 +37,6 @@ Partition partition_strips(const Topology& topo, std::size_t max_shards) {
   std::size_t in_shard = 0;     // nodes in the shard being built
   std::size_t nodes_left = n;   // nodes not yet assigned (incl. this strip)
   std::size_t strips_left = strips.size();
-  out.x_lo.assign(k, 0.0);
-  out.x_hi.assign(k, 0.0);
-  bool first_strip = true;
   for (const auto& [cx, ids] : strips) {
     if (shard + 1 < k && in_shard > 0) {
       const std::size_t shards_left = k - shard;
@@ -52,18 +49,12 @@ Partition partition_strips(const Topology& topo, std::size_t max_shards) {
         in_shard = 0;
       }
     }
-    const double strip_lo = static_cast<double>(cx) * side;
-    if (first_strip || in_shard == 0) out.x_lo[shard] = strip_lo;
-    out.x_hi[shard] = strip_lo + side;
-    first_strip = false;
     for (core::NodeId id : ids) out.assignment[id] = shard;
     in_shard += ids.size();
     nodes_left -= ids.size();
     --strips_left;
   }
   out.shard_count = shard + 1;
-  out.x_lo.resize(out.shard_count);
-  out.x_hi.resize(out.shard_count);
   return out;
 }
 

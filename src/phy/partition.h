@@ -28,26 +28,8 @@ struct Partition {
   // assignment[node] in [0, shard_count).
   std::vector<std::size_t> assignment;
   std::size_t shard_count = 1;
-  // Home x-interval of each shard's strip run, [x_lo[s], x_hi[s]) in
-  // meters (strip edges are multiples of the radio range). Under
-  // mobility these are the fixed geographic homes: a node whose x
-  // leaves its owner's interval is "in the halo" (or beyond), and the
-  // migration layer hands it to the shard whose interval contains it.
-  // Empty when shard_count == 1 (nothing to hand over).
-  std::vector<double> x_lo;
-  std::vector<double> x_hi;
 
   std::size_t shard_of(core::NodeId id) const { return assignment.at(id); }
-
-  // The shard whose home interval contains `x` (clamped to the outer
-  // shards beyond the field edges; gaps of empty strips between two
-  // shards resolve to the right neighbor, consistently for every
-  // caller).
-  std::size_t shard_for_x(double x) const {
-    for (std::size_t s = 0; s + 1 < shard_count; ++s)
-      if (x < x_hi[s]) return s;
-    return shard_count == 0 ? 0 : shard_count - 1;
-  }
 };
 
 // Partitions `topo`'s nodes into at most `max_shards` spatially

@@ -88,16 +88,6 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  // True if any pending event would execute as `owner`. Linear in the
-  // pending-event count; used by the sharded network's migration
-  // eligibility check, which runs at epoch barriers, never on the hot
-  // path.
-  bool has_owner(std::uint32_t owner) const {
-    for (const HeapNode& n : heap_)
-      if (slots_[n.idx].exec_owner == owner) return true;
-    return false;
-  }
-
   // Time of the earliest live event. Requires !empty().
   Time next_time() const {
     assert(!heap_.empty());

@@ -131,12 +131,6 @@ class Simulator {
   std::uint64_t events_executed() const { return executed_; }
   bool pending() const { return !queue_.empty(); }
 
-  // True if any pending event executes as `owner` (node migration's
-  // quiescence check; O(pending), barrier-time only).
-  bool has_pending_owner(std::uint32_t owner) const {
-    return queue_.has_owner(owner);
-  }
-
   PoolStats event_pool_stats() const { return queue_.slot_stats(); }
   const PoolStats& callback_spill_stats() const {
     return queue_.spill_stats();

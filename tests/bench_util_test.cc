@@ -102,6 +102,12 @@ TEST(ParseArgs, ScenarioFlagValidatesTokens) {
   EXPECT_FALSE(parse({"--scenario", "bogus_key=1"}).ok());
   EXPECT_FALSE(parse({"--scenario", "net_size=zero"}).ok());
   EXPECT_FALSE(parse({"--scenario"}).ok());  // missing value
+  // shards= is the one shard knob, and only static tdma/tdma_reuse runs
+  // take shards > 1.
+  EXPECT_TRUE(parse({"--scenario", "shards=2"}).ok());
+  EXPECT_FALSE(parse({"--scenario", "mac=csma,shards=2"}).ok());
+  EXPECT_FALSE(parse({"--scenario", "speed=1,shards=2"}).ok());
+  EXPECT_FALSE(parse({"--shards", "2"}).ok());
 }
 
 TEST(ParseArgs, ScenarioFlagRejectsProtoAndSeedKeys) {

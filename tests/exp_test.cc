@@ -582,41 +582,45 @@ INSTANTIATE_TEST_SUITE_P(AllProtos, DeterminismTest,
 // field partitions into real shards with busy boundaries (the fan-in
 // workload converges on node 0, so traffic crosses every cut), and every
 // metric — counts, FP energy sums, per-node energy vectors — must come
-// out identical to the single-threaded run.
+// out identical to the single-threaded run, under both MACs that shard.
 TEST(ShardDeterminism, ScaleScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kTdmaReuse;  // real throughput => busy boundaries
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    auto m = s.flows->collect(40.0);
-    return m;
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);  // the comparison is not vacuous
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.source_retransmissions, ref.source_retransmissions);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.cache_retransmissions, ref.cache_retransmissions);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
-                     ref.per_flow_goodput_kbps_mean);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
+  for (const auto m : {mac::Mac::kTdmaReuse, mac::Mac::kTdma}) {
+    SCOPED_TRACE(mac::mac_name(m));
+    auto run = [m](std::size_t shards) {
+      auto sc = preset("scale");
+      sc.net_size = 400;
+      sc.seed = 5;
+      sc.mac = m;
+      sc.shards = shards;
+      auto s = build(sc);
+      // A field that cut into fewer strips would compare K = 1 to itself.
+      EXPECT_EQ(s.network->shard_count(), shards);
+      s.network->run_until(40.0);
+      return s.flows->collect(40.0);
+    };
+    const auto ref = run(1);
+    EXPECT_GT(ref.delivered_packets, 0u);  // the comparison is not vacuous
+    for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("shards=" + std::to_string(k));
+      const auto got = run(k);
+      EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
+      EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
+      EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
+      EXPECT_EQ(got.source_retransmissions, ref.source_retransmissions);
+      EXPECT_EQ(got.acks_sent, ref.acks_sent);
+      EXPECT_EQ(got.transmissions, ref.transmissions);
+      EXPECT_EQ(got.queue_drops, ref.queue_drops);
+      EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
+      EXPECT_EQ(got.cache_retransmissions, ref.cache_retransmissions);
+      EXPECT_EQ(got.route_drops, ref.route_drops);
+      EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
+                       ref.per_flow_goodput_kbps_mean);
+      EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
+      ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
+      for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
+        ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
+            << "node " << i;
+    }
   }
 }
 
@@ -659,85 +663,31 @@ TEST(ShardDeterminism, DeliveryRateProtosAreBitIdenticalAcrossShardCounts) {
   }
 }
 
-// The mobile tier under the same contract: per-shard trajectory
-// replicas replay identical motion, and epoch-barrier migration re-homes
-// drifted nodes without touching a draw stream — so the full metric
-// vector, per-node energy included, is bit-equal for every K. 40
-// simulated seconds of 1 m/s waypoint churn over a 400-node field
-// crosses routing refreshes, halo growth and (at this speed) migration
-// passes.
-TEST(ShardDeterminism, MobileScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale_mobile");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kTdmaReuse;
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    return s.flows->collect(40.0);
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.source_retransmissions, ref.source_retransmissions);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.cache_retransmissions, ref.cache_retransmissions);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
-                     ref.per_flow_goodput_kbps_mean);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
-  }
-}
+// Only static fields under tdma or tdma_reuse shard. A mobile or CSMA
+// spec asking for more shards fails with the reason — in the parser and
+// in Network alike — instead of quietly running on one loop.
+TEST(ShardRule, MobileAndCsmaRunsFailWithTheReason) {
+  const auto mobile = parse_scenario("scale_mobile,shards=4");
+  EXPECT_FALSE(mobile.ok());
+  EXPECT_NE(mobile.error.find("static field"), std::string::npos)
+      << mobile.error;
+  const auto csma = parse_scenario("scale,mac=csma,shards=2");
+  EXPECT_FALSE(csma.ok());
+  EXPECT_NE(csma.error.find("csma runs do not shard"), std::string::npos)
+      << csma.error;
+  EXPECT_TRUE(parse_scenario("scale_mobile,shards=1").ok());
+  EXPECT_TRUE(parse_scenario("scale,mac=csma,shards=1").ok());
 
-// CSMA's carrier splits into per-strip domains coupled by boundary
-// mirrors; CCA reads and collision verdicts are computed over captured
-// record geometry, so every verdict — and with it every counter and
-// energy cell — must be K-invariant. The fan-in sink concentrates
-// contention, and a 400-node field puts real traffic on the strip
-// boundaries.
-TEST(ShardDeterminism, CsmaScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kCsma;
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    return s.flows->collect(40.0);
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
-  }
+  const auto topo = phy::Topology::linear(20, 30.0, 40.0);
+  net::NetworkConfig csma_cfg;
+  csma_cfg.mac_kind = mac::Mac::kCsma;
+  csma_cfg.shards = 4;
+  EXPECT_THROW({ net::Network net(topo, csma_cfg); }, std::invalid_argument);
+  net::NetworkConfig mobile_cfg;
+  mobile_cfg.mobility = phy::MobilityConfig{};
+  mobile_cfg.shards = 4;
+  EXPECT_THROW({ net::Network net(topo, mobile_cfg); },
+               std::invalid_argument);
 }
 
 }  // namespace

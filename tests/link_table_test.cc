@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/random.h"
 
@@ -38,13 +36,10 @@ TEST(PackedLinkTable, MatchesReferenceMapUnderChurn) {
   sim::Rng rng(3);
   for (int round = 0; round < 20000; ++round) {
     const std::uint64_t key = rng.integer(512);  // dense keyspace: collisions
-    const int op = static_cast<int>(rng.integer(3));
-    if (op == 0) {
+    if (rng.integer(2) == 0) {
       const std::uint64_t val = key * 1000003u;
       t.find_or_create(key, [&] { return val; });
       ref.emplace(key, val);
-    } else if (op == 1) {
-      EXPECT_EQ(t.erase(key), ref.erase(key) > 0) << "key " << key;
     } else {
       const auto* got = t.find(key);
       const auto it = ref.find(key);
@@ -80,23 +75,6 @@ TEST(PackedLinkTable, ReserveSizedTableNeverRehashes) {
   EXPECT_EQ(t.stats().rehashes, 0u);
 }
 
-TEST(PackedLinkTable, ErasedSlotsAreReused) {
-  PackedLinkTable<std::uint64_t> t(64);
-  for (std::uint64_t k = 0; k < 60; ++k)
-    t.find_or_create(k, [&] { return k; });
-  for (std::uint64_t k = 0; k < 60; ++k) EXPECT_TRUE(t.erase(k));
-  EXPECT_EQ(t.size(), 0u);
-  // Refill: the freelist recycles the slab, no rehash and no growth.
-  for (std::uint64_t k = 100; k < 160; ++k)
-    t.find_or_create(k, [&] { return k; });
-  EXPECT_EQ(t.size(), 60u);
-  EXPECT_EQ(t.stats().rehashes, 0u);
-  for (std::uint64_t k = 100; k < 160; ++k) {
-    ASSERT_NE(t.find(k), nullptr);
-    EXPECT_EQ(*t.find(k), k);
-  }
-}
-
 TEST(PackedLinkTable, ProbeHighWaterStaysSmallAtPlannedLoad) {
   PackedLinkTable<std::uint64_t> t(1600);
   sim::Rng rng(9);
@@ -109,26 +87,6 @@ TEST(PackedLinkTable, ProbeHighWaterStaysSmallAtPlannedLoad) {
   // a high-water anywhere near the bucket count means clustering.
   EXPECT_LT(t.stats().probe_hw, 64u);
   EXPECT_EQ(t.stats().rehashes, 0u);
-}
-
-TEST(PackedLinkTable, BackwardShiftKeepsCollidersReachable) {
-  // Force one probe run: keys chosen so several land on the same home
-  // bucket (same hash mod pow2 is hard to construct through splitmix64,
-  // so just hammer a tiny table where runs are guaranteed).
-  PackedLinkTable<std::uint64_t> t;
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 120; ++k) keys.push_back(k * 7919u);
-  for (const auto k : keys) t.find_or_create(k, [&] { return k + 1; });
-  // Erase every third key, then every survivor must still resolve.
-  for (std::size_t i = 0; i < keys.size(); i += 3) EXPECT_TRUE(t.erase(keys[i]));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_EQ(t.find(keys[i]), nullptr);
-    } else {
-      ASSERT_NE(t.find(keys[i]), nullptr) << "lost key index " << i;
-      EXPECT_EQ(*t.find(keys[i]), keys[i] + 1);
-    }
-  }
 }
 
 }  // namespace

@@ -10,9 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/scenario.h"
-#include "net/network.h"
-#include "phy/mobility.h"
 #include "phy/partition.h"
 #include "phy/topology.h"
 #include "sim/random.h"
@@ -267,156 +264,6 @@ TEST(ShardedRunner, WorkerExceptionPropagatesToCaller) {
   s0.at_keyed(0.5, s0.draw_tie(1), 1,
               [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(runner.run_until(1.0), std::runtime_error);
-}
-
-// --- halo migration (shard-aware mobility) ----------------------------------
-//
-// Network-level tests for the migration machinery: nodes really cross
-// strip boundaries mid-run, hand-over really fires, and none of it is
-// allowed to perturb a single counter relative to the K = 1 loop. The
-// configs below force the machinery hard: fast waypoints, a barrier
-// every lookahead horizon, and a zero halo threshold so every barrier
-// with any out-of-strip node runs a hand-over pass.
-
-net::NetworkConfig churny_config(mac::Mac mac_kind, std::size_t shards,
-                                 double field_m) {
-  net::NetworkConfig cfg;
-  cfg.seed = 9;
-  cfg.mac_kind = mac_kind;
-  cfg.shards = shards;
-  cfg.mobility = phy::MobilityConfig{};
-  cfg.mobility->speed_mps = 8.0;     // fast: nodes cross strips constantly
-  cfg.mobility->mean_leg_m = 120.0;  // long legs: real boundary crossings
-  cfg.mobility->mean_pause_s = 0.5;
-  cfg.mobility->field_m = field_m;
-  cfg.migration_epoch_s = cfg.slot_duration_s;  // barrier every horizon
-  cfg.halo_threshold = 0.0;  // any drift at all triggers a hand-over pass
-  return cfg;
-}
-
-TEST(HaloMigration, NodesCrossBoundariesMidFlightWithoutPerturbingResults) {
-  sim::Rng rng(9);
-  const double side = exp::random_field_side_m(200);
-  const auto topo = phy::Topology::random_connected(200, side, 40.0, rng);
-  struct Result {
-    std::uint64_t delivered = 0, transmissions = 0, migrations = 0;
-    std::vector<core::Joules> energy;
-  };
-  const auto run = [&](std::size_t shards) {
-    net::Network net(topo,
-                     churny_config(mac::Mac::kTdmaReuse, shards, side));
-    auto f1 = net.add_flow(net::Proto::kJtp, 0, 199);
-    auto f2 = net.add_flow(net::Proto::kJtp, 100, 3);
-    const auto src_home = net.shard_of(0);
-    const auto dst_home = net.shard_of(199);
-    f1.sender->start(0);  // unbounded: traffic in flight the whole run
-    f2.sender->start(0);
-    net.run_until(30.0);
-    // Flow endpoints are pinned: their transports hold their home
-    // shard's Env, so hand-over must never move them.
-    EXPECT_EQ(net.shard_of(0), src_home);
-    EXPECT_EQ(net.shard_of(199), dst_home);
-    Result r;
-    r.delivered =
-        f1.receiver->delivered_packets() + f2.receiver->delivered_packets();
-    r.transmissions = net.total_transmissions();
-    r.migrations = net.migration_stats().migrations;
-    r.energy = net.per_node_energy();
-    return r;
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered, 0u);
-  EXPECT_EQ(ref.migrations, 0u);  // K = 1: nothing to migrate
-  const auto got = run(4);
-  // The machinery actually engaged: deliveries were in flight toward
-  // receivers that changed owner mid-run.
-  EXPECT_GT(got.migrations, 0u);
-  EXPECT_EQ(got.delivered, ref.delivered);
-  EXPECT_EQ(got.transmissions, ref.transmissions);
-  ASSERT_EQ(got.energy.size(), ref.energy.size());
-  for (std::size_t i = 0; i < ref.energy.size(); ++i)
-    ASSERT_DOUBLE_EQ(got.energy[i], ref.energy[i]) << "node " << i;
-}
-
-TEST(HaloMigration, CsmaCcaHearsBoundaryTransmittersAcrossShards) {
-  // A static chain through the strip boundary: every transmission near
-  // the cut must appear in both carrier domains (mirrors), or CCA and
-  // collision verdicts diverge from the shared-medium loop.
-  const auto topo = phy::Topology::linear(20, 30.0, 40.0);
-  struct Result {
-    std::uint64_t delivered = 0, transmissions = 0;
-    std::vector<core::Joules> energy;
-  };
-  const auto run = [&](std::size_t shards) {
-    net::NetworkConfig cfg;
-    cfg.seed = 9;
-    cfg.mac_kind = mac::Mac::kCsma;
-    cfg.shards = shards;
-    net::Network net(topo, cfg);
-    if (shards > 1) {
-      EXPECT_EQ(net.shard_count(), shards);
-    }
-    auto f1 = net.add_flow(net::Proto::kJtp, 0, 19);
-    auto f2 = net.add_flow(net::Proto::kJtp, 19, 0);  // contention both ways
-    f1.sender->start(0);
-    f2.sender->start(0);
-    net.run_until(60.0);
-    if (shards > 1) {
-      EXPECT_GT(net.cross_shard_messages(), 0u);
-    }
-    Result r;
-    r.delivered =
-        f1.receiver->delivered_packets() + f2.receiver->delivered_packets();
-    r.transmissions = net.total_transmissions();
-    r.energy = net.per_node_energy();
-    return r;
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered, 0u);
-  const auto got = run(2);
-  EXPECT_EQ(got.delivered, ref.delivered);
-  EXPECT_EQ(got.transmissions, ref.transmissions);
-  ASSERT_EQ(got.energy.size(), ref.energy.size());
-  for (std::size_t i = 0; i < ref.energy.size(); ++i)
-    ASSERT_DOUBLE_EQ(got.energy[i], ref.energy[i]) << "node " << i;
-}
-
-TEST(HaloMigration, MigrationSurvivesCombinedCsmaMirrorAndRingPressure) {
-  // The worst case at once: per-strip CSMA domains stream boundary
-  // mirrors through the same rings the migration barriers must drain,
-  // while fast mobility keeps the halo populated. Any quiescence bug
-  // (migrating a node whose MAC still owns in-flight state, or whose
-  // ring slot is still queued) shows up here as a counter diff.
-  sim::Rng rng(11);
-  const double side = exp::random_field_side_m(150);
-  const auto topo = phy::Topology::random_connected(150, side, 40.0, rng);
-  struct Result {
-    std::uint64_t delivered = 0, transmissions = 0;
-    double energy = 0.0;
-  };
-  const auto run = [&](std::size_t shards) {
-    net::Network net(topo, churny_config(mac::Mac::kCsma, shards, side));
-    auto f1 = net.add_flow(net::Proto::kJtp, 0, 149);
-    auto f2 = net.add_flow(net::Proto::kJtp, 75, 5);
-    f1.sender->start(0);
-    f2.sender->start(0);
-    net.run_until(25.0);
-    Result r;
-    r.delivered =
-        f1.receiver->delivered_packets() + f2.receiver->delivered_packets();
-    r.transmissions = net.total_transmissions();
-    r.energy = net.total_energy();
-    return r;
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.transmissions, 0u);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered, ref.delivered);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_DOUBLE_EQ(got.energy, ref.energy);
-  }
 }
 
 }  // namespace
