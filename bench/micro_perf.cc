@@ -376,6 +376,27 @@ void BM_TdmaNextOwnedSlot(benchmark::State& state) {
 }
 BENCHMARK(BM_TdmaNextOwnedSlot)->Arg(8)->Arg(25);
 
+// The per-transmission pattern: each step asks for one node's first slot
+// after the current one, nodes take turns, and the current slot advances
+// once every node has asked. Like the MAC's lookups at one instant, these
+// land in the current frame or the next. (BM_TdmaNextOwnedSlot lands in a
+// fresh frame on every call, so it times one frame draw instead.)
+void BM_TdmaSlotService(benchmark::State& state) {
+  const auto n = static_cast<core::NodeId>(state.range(0));
+  mac::TdmaSchedule s(n, 0.035, 7);
+  std::uint64_t slot = 0;
+  core::NodeId node = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.next_owned_slot_from(node, slot + 1));
+    if (++node == n) {
+      node = 0;
+      ++slot;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TdmaSlotService)->Arg(20)->Arg(1000);
+
 // The spatial-reuse MAC's recolor cost: one full greedy 2-hop coloring of
 // a connected random field. This is the per-topology-change control-plane
 // price of slot reuse; grid-gathered candidates keep it near-linear in n.

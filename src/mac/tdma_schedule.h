@@ -45,19 +45,25 @@ class TdmaSchedule {
   double node_capacity_pps() const { return 1.0 / frame_duration(); }
 
  private:
-  // The frame's owner permutation, drawn into perm_ (and kept while
-  // lookups stay in the same frame).
-  const std::vector<core::NodeId>& frame_permutation(
-      std::uint64_t frame) const;
+  // One drawn frame: owner[i] holds slot i of the frame, index_of[v] is
+  // the slot node v owns in it.
+  struct Frame {
+    std::uint64_t id = ~0ULL;
+    std::vector<core::NodeId> owner, index_of;
+  };
+  // The cache entry holding frame f, drawn into it first if needed.
+  const Frame& cached_frame(std::uint64_t f) const;
 
   std::size_t n_;
   double slot_s_;
   std::uint64_t seed_;
-  // Slot lookups run once per transmission, so the permutation lives in a
-  // reused buffer instead of a fresh vector per frame scanned. A schedule
-  // therefore belongs to one thread, like the rest of its fabric.
-  mutable std::vector<core::NodeId> perm_;
-  mutable std::uint64_t perm_frame_ = ~0ULL;
+  // Slot lookups run once per transmission, so drawn frames are cached,
+  // one entry per frame parity. Lookups made at one instant fall in the
+  // current frame f or the next one (a node's slot in f may have passed),
+  // and f and f + 1 never share an entry, so each frame is drawn once
+  // while traffic crosses it. A schedule therefore belongs to one thread,
+  // like the rest of its fabric: each shard owns its own.
+  mutable Frame frames_[2];
 };
 
 }  // namespace jtp::mac

@@ -99,26 +99,43 @@ TEST(TdmaSchedule, RejectsBadArgs) {
 
 TEST(TdmaSchedule, OwnersFollowTheKeyedDrawInAnyLookupOrder) {
   // The reference draw: Fisher–Yates keyed by splitmix64(seed ^
-  // splitmix64(frame)). Lookups hop between frames out of order, so a
-  // reused permutation buffer must never answer for the wrong frame.
-  constexpr std::size_t kN = 9;
+  // splitmix64(frame)). Lookups hop between frames out of order, and
+  // owner() and next_owned_slot_from() share one schedule, so a cached
+  // frame must never answer for another frame.
   constexpr std::uint64_t kSeed = 77;
-  TdmaSchedule s(kN, 0.01, kSeed);
-  auto reference = [&](std::uint64_t frame) {
-    std::vector<core::NodeId> perm(kN);
-    std::iota(perm.begin(), perm.end(), core::NodeId{0});
-    std::uint64_t h = sim::splitmix64(kSeed ^ sim::splitmix64(frame));
-    for (std::size_t i = kN - 1; i > 0; --i) {
-      h = sim::splitmix64(h);
-      std::swap(perm[i], perm[h % (i + 1)]);
-    }
-    return perm;
-  };
-  for (const std::uint64_t frame : {5ULL, 0ULL, 5ULL, 12ULL, 3ULL, 12ULL}) {
-    const auto perm = reference(frame);
-    for (std::size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(s.owner(frame * kN + i), perm[i]) << "frame " << frame;
-      EXPECT_EQ(s.next_owned_slot_from(perm[i], frame * kN), frame * kN + i);
+  for (const std::size_t n : {1, 9, 1000}) {
+    TdmaSchedule s(n, 0.01, kSeed);
+    auto reference = [&](std::uint64_t frame) {
+      std::vector<core::NodeId> perm(n);
+      std::iota(perm.begin(), perm.end(), core::NodeId{0});
+      std::uint64_t h = sim::splitmix64(kSeed ^ sim::splitmix64(frame));
+      for (std::size_t i = n - 1; i > 0; --i) {
+        h = sim::splitmix64(h);
+        std::swap(perm[i], perm[h % (i + 1)]);
+      }
+      return perm;
+    };
+    auto index_of = [&](const std::vector<core::NodeId>& perm) {
+      std::vector<std::uint64_t> idx(n);
+      for (std::size_t i = 0; i < n; ++i) idx[perm[i]] = i;
+      return idx;
+    };
+    for (const std::uint64_t frame :
+         {5ULL, 0ULL, 6ULL, 5ULL, 12ULL, 3ULL, 13ULL, 12ULL}) {
+      const auto perm = reference(frame);
+      const auto here = index_of(perm), next = index_of(reference(frame + 1));
+      const std::uint64_t base = frame * n;
+      // From offset k, v's slot in this frame counts only if it is not
+      // earlier than k; otherwise v's answer is its slot in the next frame.
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(s.owner(base + k), perm[k])
+            << "n " << n << " frame " << frame << " slot " << k;
+        for (core::NodeId v = 0; v < n; ++v)
+          ASSERT_EQ(s.next_owned_slot_from(v, base + k),
+                    here[v] >= k ? base + here[v] : base + n + next[v])
+              << "n " << n << " frame " << frame << " from " << k
+              << " node " << v;
+      }
     }
   }
 }
