@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
     std::vector<mac::Mac> macs;
     for (const mac::Mac m : bench::sweep_or<mac::Mac>(
              opt, "mac", base.mac,
-             {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma})) {
+             std::vector<mac::Mac>(mac::kAllMacs.begin(),
+                                   mac::kAllMacs.end()))) {
       auto spec = base;
       spec.mac = m;
       const auto leg = std::string("preset=") + plan.name +

@@ -464,7 +464,8 @@ void BM_CsmaBackoff(benchmark::State& state) {
   mac::CsmaMedium medium(topo, 0.005);
   mac::CsmaMac m(sim, medium, channel, energy, 0, 0.005, {},
                  sim::Rng(7).derive("csma", 0));
-  m.set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  m.set_deliver(
+      [](double, core::PacketPtr&&, core::NodeId, core::NodeId) {});
   for (auto _ : state) {
     auto p = pool.make();
     p->type = core::PacketType::kData;

@@ -3,9 +3,9 @@
 //
 // Runs the "scale" preset — a large connected random field with a
 // many-flow fan-in workload (k senders converging on node 0) — at
-// n = 100/400 (quick) or 100/400/1000 (--full), once per registered CLI
-// MAC (classic TDMA, spatial-reuse TDMA, CSMA/CA; --scenario mac=...
-// collapses the sweep), and reports, per size: delivered packets,
+// n = 100/400 (quick) or 100/400/1000 (--full), once per MAC in
+// mac::kAllMacs (classic TDMA, spatial-reuse TDMA, CSMA/CA; --scenario
+// mac=... collapses the sweep), and reports, per size: delivered packets,
 // delivery and event rate per wall-clock second, the MAC's slot-reuse
 // figures (colors = slots per frame, reuse = n/colors), routing work,
 // and the pool high-water marks that pin the zero-allocation claim at
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
                : std::vector<std::size_t>{100, 400});
   const auto macs = bench::sweep_or<mac::Mac>(
       opt, "mac", base.mac,
-      {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});
+      std::vector<mac::Mac>(mac::kAllMacs.begin(), mac::kAllMacs.end()));
 
   std::printf("=== Scale sweep: cost vs network size, per MAC ===\n");
   std::printf("%s, %.0f s simulated, %zu run(s)\n\n",

@@ -14,7 +14,8 @@
 // packets pass through a tap sink (transmit snapshots), and each fresh
 // ACK has its destination-advertised rate rewritten to the local PI²/MD
 // output before the inner sender adopts it. No eJTP code is modified;
-// the variant is one TransportRegistry registration (net/transport.cc).
+// the variant is one case of net::make_endpoints (net/transport.cc),
+// sharing jtp's endpoint configs.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,7 @@
 namespace jtp::core {
 
 struct JtpDrConfig {
-  // PI²/MD knobs for the local controller. The registry factory sets
+  // PI²/MD knobs for the local controller. net::make_endpoints sets
   // delta_pps low (a delivery-collapse guard, ~2% of the node share)
   // rather than classic JTP's 15% headroom target: delivery rate, unlike
   // the path's idle-rate stamp, does not shrink as utilization rises, so

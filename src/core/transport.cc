@@ -15,12 +15,9 @@ std::string proto_name(Proto p) {
 }
 
 std::optional<Proto> parse_proto(std::string_view name) {
-  if (name == "jtp") return Proto::kJtp;
-  if (name == "jnc") return Proto::kJnc;
-  if (name == "tcp") return Proto::kTcp;
-  if (name == "atp") return Proto::kAtp;
-  if (name == "jtp_dr" || name == "jtp-dr") return Proto::kJtpDr;
-  if (name == "bbr") return Proto::kBbr;
+  if (name == "jtp-dr") return Proto::kJtpDr;
+  for (const Proto p : kAllProtos)
+    if (name == proto_name(p)) return p;
   return std::nullopt;
 }
 

@@ -6,7 +6,7 @@
 // sent, source retransmissions, ACKs sent). Everything above the endpoints
 // (Network wiring, FlowManager, metrics, benches) talks only to this
 // interface; which concrete protocol sits behind a flow is decided once,
-// at attachment time, through the net::TransportRegistry.
+// at attachment time, by net::make_endpoints' switch over Proto.
 //
 // Hot-path note: on_data/on_ack become virtual calls here. They were
 // already dispatched through std::function handlers per packet, so the
@@ -14,6 +14,7 @@
 // (BM_TransportOnData{Direct,Virtual}).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -37,11 +38,18 @@ namespace jtp::core {
 //          channel (baselines/bbr.h).
 enum class Proto : std::uint8_t { kJtp, kJnc, kTcp, kAtp, kJtpDr, kBbr };
 
+// Every protocol, in enum order: what "all protocols" means to the
+// parser, the sweeps and the parity tests.
+inline constexpr std::array<Proto, 6> kAllProtos{
+    Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp, Proto::kJtpDr,
+    Proto::kBbr};
+
 // Canonical lowercase CLI name ("jtp", "jnc", "tcp", "atp", "jtp_dr",
 // "bbr").
 std::string proto_name(Proto p);
 
-// Inverse of proto_name; nullopt on an unknown name.
+// Inverse of proto_name (plus the legacy "jtp-dr" spelling); nullopt on
+// an unknown name.
 std::optional<Proto> parse_proto(std::string_view name);
 
 // Source side: paces data packets and reacts to ACKs.

@@ -481,8 +481,7 @@ net::NetworkConfig make_network_config(const ScenarioSpec& spec) {
   cfg.mac.csma.max_backoffs = static_cast<int>(spec.csma_max_backoffs);
   cfg.routing.refresh_interval_s = spec.routing_refresh_s;
   cfg.node.ijtp.cache_capacity_packets = spec.cache_size_packets;
-  cfg.node.ijtp.caching_enabled =
-      net::TransportRegistry::instance().caching_enabled(spec.proto);
+  cfg.node.ijtp.caching_enabled = net::caching_allowed(spec.proto);
   return cfg;
 }
 

@@ -164,8 +164,8 @@ inline constexpr double kRangeM = 40.0;
 // Field side for a random scenario of n nodes.
 double random_field_side_m(std::size_t n);
 
-// The NetworkConfig a spec implies (caching on/off follows the proto's
-// TransportRegistry entry). Exposed for benches that need to tweak
+// The NetworkConfig a spec implies (caching on/off follows
+// net::caching_allowed(spec.proto)). Exposed for benches that need to tweak
 // network knobs the spec does not cover before constructing the Network
 // themselves.
 net::NetworkConfig make_network_config(const ScenarioSpec& spec);
@@ -182,7 +182,7 @@ struct Scenario {
 };
 
 // Throws std::invalid_argument on specs that cannot be built (net_size
-// < 2, unregistered proto).
+// < 2, or a spec parse_scenario would reject).
 Scenario build(const ScenarioSpec& spec);
 
 }  // namespace jtp::exp

@@ -8,7 +8,7 @@ namespace jtp::exp {
 
 FlowManager::FlowManager(net::Network& network, Proto proto)
     : net_(network), proto_(proto) {
-  if (!net::TransportRegistry::instance().caching_enabled(proto) &&
+  if (!net::caching_allowed(proto) &&
       network.config().node.ijtp.caching_enabled)
     throw std::invalid_argument(
         "FlowManager: '" + proto_name(proto) +

@@ -3,9 +3,8 @@
 // FlowManager attaches flows of a chosen protocol to a Network through
 // the unified Network::add_flow / net::FlowHandle API, schedules their
 // start, tracks completion times, and aggregates RunMetrics afterwards.
-// It contains no per-protocol code: protocol defaults live in the
-// TransportRegistry factories (paper §6.1 protocols: kJtp, kJnc, kTcp,
-// kAtp).
+// It contains no per-protocol code: protocol defaults live in
+// net::make_endpoints (paper §6.1 protocols: kJtp, kJnc, kTcp, kAtp).
 #pragma once
 
 #include <cstdint>

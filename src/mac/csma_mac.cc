@@ -167,20 +167,12 @@ void CsmaMac::finish_tx(TxRing* q, CsmaMedium::TxId txid, bool lost_ch) {
   estimator_.record_attempt(e.next_hop, lost);
 
   if (!lost) {
+    // The frame lands half a unit from now, one whole unit after the
+    // airtime ended.
     core::PacketPtr delivered = std::move(e.packet);
-    const core::NodeId from = self_;
     const core::NodeId to = e.next_hop;
     finish_head(*q, /*delivered=*/true);
-    if (dispatch_) {
-      // Dispatch seam: the network lands the delivery half a unit from
-      // now (one whole unit after the airtime ended) and charges the
-      // receive energy at execution time.
-      dispatch_(0.5 * unit_, std::move(delivered), from, to);
-    } else {
-      // Legacy single-simulator path (raw-fabric tests).
-      energy_.charge_rx(to, delivered->size_bits());
-      if (deliver_) deliver_(std::move(delivered), from, to);
-    }
+    if (deliver_) deliver_(0.5 * unit_, std::move(delivered), self_, to);
   } else if (e.attempts_done >= e.max_attempts) {
     ++attempt_drops_;
     finish_head(*q, /*delivered=*/false);

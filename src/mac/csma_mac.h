@@ -21,9 +21,8 @@
 //    time; collision marking and CCA geometry are evaluated against the
 //    captured points.
 //  * The collision verdict is read half a unit after the frame ends, and
-//    the delivery is handed over another half unit later through the
-//    network's dispatch seam, which charges the receive energy at
-//    execution time.
+//    the deliver hook lands the frame another half unit later (Network
+//    charges the receive energy when it lands).
 // Every attempt (including retries) is charged to the energy layer
 // individually, matching the ns-3 802.15.4 energy exemplar where cost is
 // unitEnergy · (retries + 1).

@@ -1,7 +1,7 @@
-#include "mac/registry.h"
+#include "mac/fabric.h"
 
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 #include "mac/csma_mac.h"
 #include "mac/reuse_tdma.h"
@@ -12,9 +12,8 @@ namespace jtp::mac {
 
 namespace {
 
-// Classic TDMA: the n-slot frame (paper §2). The schedule seed derivation
-// matches what Network used before the registry existed — committed
-// baselines are pinned to it.
+// Classic TDMA: the n-slot frame (paper §2). Committed baselines are
+// pinned to the schedule's seed derivation.
 class TdmaFabric final : public MacFabric {
  public:
   explicit TdmaFabric(const MacContext& ctx)
@@ -48,13 +47,6 @@ class TdmaFabric final : public MacFabric {
   std::vector<std::unique_ptr<TdmaMac>> macs_;
 };
 
-class TdmaFactory final : public MacFactory {
- public:
-  std::unique_ptr<MacFabric> make(const MacContext& ctx) const override {
-    return std::make_unique<TdmaFabric>(ctx);
-  }
-};
-
 // Spatial-reuse TDMA: frame length = interference colors, recolored
 // lazily off the topology generation. Same seed derivation as classic so
 // the color-slot permutation is comparable across disciplines.
@@ -83,13 +75,6 @@ class ReuseFabric final : public MacFabric {
  private:
   ReuseSchedule schedule_;
   std::vector<std::unique_ptr<ReuseTdmaMac>> macs_;
-};
-
-class ReuseFactory final : public MacFactory {
- public:
-  std::unique_ptr<MacFabric> make(const MacContext& ctx) const override {
-    return std::make_unique<ReuseFabric>(ctx);
-  }
 };
 
 // CSMA/CA: contention over a shared carrier; the scenario's slot duration
@@ -123,59 +108,15 @@ class CsmaFabric final : public MacFabric {
   std::vector<std::unique_ptr<CsmaMac>> macs_;
 };
 
-class CsmaFactory final : public MacFactory {
- public:
-  std::unique_ptr<MacFabric> make(const MacContext& ctx) const override {
-    return std::make_unique<CsmaFabric>(ctx);
-  }
-};
-
 }  // namespace
 
-MacRegistry::MacRegistry() {
-  add({Mac::kTdma, std::make_shared<const TdmaFactory>()});
-  add({Mac::kTdmaReuse, std::make_shared<const ReuseFactory>()});
-  add({Mac::kCsma, std::make_shared<const CsmaFactory>()});
-}
-
-MacRegistry& MacRegistry::instance() {
-  static MacRegistry registry;
-  return registry;
-}
-
-void MacRegistry::add(MacInfo info) {
-  if (!info.factory)
-    throw std::invalid_argument("MacRegistry: null factory for '" +
-                                mac_name(info.mac) + "'");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.mac == info.mac)
-      throw std::invalid_argument("MacRegistry: '" + mac_name(info.mac) +
-                                  "' is already registered");
-  entries_.push_back(std::move(info));
-}
-
-const MacInfo& MacRegistry::info(Mac m) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.mac == m) return e;
-  throw std::invalid_argument("MacRegistry: MAC '" + mac_name(m) +
-                              "' is not registered");
-}
-
-bool MacRegistry::registered(Mac m) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.mac == m) return true;
-  return false;
-}
-
-std::vector<Mac> MacRegistry::macs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Mac> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.mac);
-  return out;
+std::unique_ptr<MacFabric> make_fabric(Mac m, const MacContext& ctx) {
+  switch (m) {
+    case Mac::kTdma: return std::make_unique<TdmaFabric>(ctx);
+    case Mac::kTdmaReuse: return std::make_unique<ReuseFabric>(ctx);
+    case Mac::kCsma: return std::make_unique<CsmaFabric>(ctx);
+  }
+  throw std::invalid_argument("make_fabric: unknown MAC");
 }
 
 }  // namespace jtp::mac

@@ -1,0 +1,62 @@
+// The MAC plane of one run: the fabric a Network builds from its
+// mac::Mac value.
+//
+// A fabric owns one MacIface per node plus whatever shared state the
+// discipline needs (the TDMA slot schedule, the interference coloring,
+// the CSMA carrier). `Network` builds it with make_fabric(
+// NetworkConfig::mac_kind, ...) and talks only to the fabric. make_fabric
+// is one switch over Mac with no default, so -Wswitch (an error in this
+// build) names it when a Mac value is added.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+
+#include "mac/mac.h"
+#include "phy/channel.h"
+#include "phy/energy_model.h"
+#include "phy/topology.h"
+#include "sim/simulator.h"
+
+namespace jtp::mac {
+
+// Everything a fabric may draw on, lent by the Network for the lifetime
+// of the run (the fabric holds references, never copies).
+struct MacContext {
+  sim::Simulator& sim;
+  const phy::Topology& topo;
+  phy::Channel& channel;
+  phy::EnergyModel& energy;
+  double slot_duration_s = 0.0;  // the scenario's slot / backoff unit
+  std::uint64_t seed = 0;        // the run's master seed
+  MacConfig config;
+};
+
+// One run's MAC plane: a MacIface per node plus the discipline's nominal
+// capacity figures, which the transport layer uses to derive rate caps
+// and RTT-based timeouts (PathInfo).
+class MacFabric {
+ public:
+  virtual ~MacFabric() = default;
+
+  virtual MacIface& mac_of(core::NodeId id) = 0;
+  const MacIface& mac_of(core::NodeId id) const {
+    return const_cast<MacFabric*>(this)->mac_of(id);
+  }
+  virtual std::size_t size() const = 0;
+
+  // Nominal per-node send capacity under this discipline.
+  virtual double node_capacity_pps() const = 0;
+  // Nominal per-hop service period (classic TDMA: the n-slot frame) —
+  // feeds the transports' RTT estimate.
+  virtual double frame_duration_s() const = 0;
+
+  // Slot-reuse accounting; identity values for disciplines without a
+  // coloring (see MacStats).
+  virtual MacStats stats() const = 0;
+};
+
+// Builds `m`'s fabric over `ctx`.
+std::unique_ptr<MacFabric> make_fabric(Mac m, const MacContext& ctx);
+
+}  // namespace jtp::mac

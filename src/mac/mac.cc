@@ -7,15 +7,12 @@ std::string mac_name(Mac m) {
     case Mac::kTdma: return "tdma";
     case Mac::kTdmaReuse: return "tdma_reuse";
     case Mac::kCsma: return "csma";
-    case Mac::kExt: return "ext";
   }
   return "?";
 }
 
 std::optional<Mac> parse_mac(std::string_view name) {
-  // kExt is deliberately not parseable: it is only runnable after an
-  // explicit MacRegistry::add(), so a CLI typo cannot select it.
-  for (auto m : {Mac::kTdma, Mac::kTdmaReuse, Mac::kCsma})
+  for (const Mac m : kAllMacs)
     if (name == mac_name(m)) return m;
   return std::nullopt;
 }

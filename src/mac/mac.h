@@ -1,23 +1,23 @@
 // The polymorphic MAC seam: enum, config, hooks, and the per-node
 // interface every MAC implements.
 //
-// PR 3 made the transport layer pluggable (net::TransportRegistry); this
-// header does the same for the MAC. A MAC implementation provides one
-// MacIface per node — the queue/attempt/retry state machine the transport
-// layer talks to — and registers a fabric factory under a Mac enum value
-// (see mac/registry.h). Network and Node depend only on this interface,
-// so a new MAC is one enum value + one registration, with zero edits to
-// the net/ layer. The contract mirrors the paper's iJTP plug-in
-// architecture (§2.2.2):
+// A MAC implementation provides one MacIface per node — the
+// queue/attempt/retry state machine the transport layer talks to — and
+// a fabric class that mac::make_fabric (mac/fabric.h) builds from its
+// Mac enum value. Network and Node depend only on this interface. The
+// contract mirrors the paper's iJTP plug-in architecture (§2.2.2):
 //   * pre-xmit hook — invoked immediately before every over-the-air
 //     transmission; may drop the packet (energy budget) and, on the first
 //     attempt, fixes the packet's attempt budget;
-//   * delivery hook — invoked when a transmission succeeds, handing the
-//     packet to the next node's stack;
+//   * delivery hook — invoked when a transmission succeeds, with the
+//     delay after which the packet lands at the next node. The hook
+//     schedules the landing and charges the receiver; the MAC charges
+//     only the sender;
 //   * LinkEstimator feed — per-link loss / available-rate / attempts
 //     statistics, updated per transmission outcome.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -31,15 +31,17 @@
 
 namespace jtp::mac {
 
-// Registered MAC disciplines. kExt is the experiment slot: it is
-// deliberately not CLI-parseable and only runnable after an explicit
-// MacRegistry::add() (the extension seam the conformance suite exercises).
-enum class Mac : std::uint8_t { kTdma, kTdmaReuse, kCsma, kExt };
+// The MAC disciplines.
+enum class Mac : std::uint8_t { kTdma, kTdmaReuse, kCsma };
+
+// Every MAC, in enum order: what "all MACs" means to the parser, the
+// sweeps and the conformance suite.
+inline constexpr std::array<Mac, 3> kAllMacs{Mac::kTdma, Mac::kTdmaReuse,
+                                             Mac::kCsma};
 
 std::string mac_name(Mac m);
 
-// Inverse of mac_name for the builtin disciplines; nullopt on an unknown
-// (or non-CLI) name.
+// Inverse of mac_name; nullopt on an unknown name.
 std::optional<Mac> parse_mac(std::string_view name);
 
 // CSMA/CA contention knobs (802.15.4-style slotted binary exponential
@@ -81,23 +83,20 @@ struct MacStats {
 using PreXmitHook = std::function<PreXmitDecision(
     core::Packet&, core::NodeId next_hop, const core::LinkView&,
     core::Joules tx_energy, bool first_attempt)>;
-using DeliverHook = std::function<void(core::PacketPtr&&, core::NodeId from,
-                                       core::NodeId to)>;
+// A successful transmission: `packet` lands at `to` `delay_s` from now.
+// Called at the moment the MAC knows the frame got through; the hook
+// owns the landing event and the receive energy (Network routes both to
+// the shard that owns `to`).
+using DeliverHook =
+    std::function<void(double delay_s, core::PacketPtr&& packet,
+                       core::NodeId from, core::NodeId to)>;
 using AttemptBudgetTrace =
     std::function<void(sim::Time, const core::Packet&, int max_attempts)>;
-// Delivery scheduling seam for the sharded runner: instead of the MAC
-// scheduling its own +delay event and invoking the deliver hook, it
-// hands (delay, packet, from, to) to the network, which routes the
-// event to the shard owning `to` (and charges the receive energy on
-// that shard at execution time). When unset, the MAC keeps the legacy
-// single-simulator path.
-using DeliveryDispatch = std::function<void(
-    double delay_s, core::PacketPtr&&, core::NodeId from, core::NodeId to)>;
 
 // One node's MAC. Everything the net/ layer (Node, Network) and the
 // transport hooks touch goes through this interface; the conformance
 // suite (tests/mac_conformance_test.cc) pins the behavioural contract
-// for every registrant.
+// for every Mac in kAllMacs.
 class MacIface {
  public:
   using PreXmitHook = mac::PreXmitHook;
@@ -109,9 +108,6 @@ class MacIface {
   virtual void set_pre_xmit(PreXmitHook hook) = 0;
   virtual void set_deliver(DeliverHook hook) = 0;
   virtual void set_attempt_trace(AttemptBudgetTrace t) = 0;
-  // Optional (default no-op): MACs that support shard-routed delivery
-  // override this. See mac::DeliveryDispatch.
-  virtual void set_dispatch(DeliveryDispatch) {}
 
   // Queues a packet for `next_hop`. Returns false (and counts a queue
   // drop) when the queue is full; the dropped packet's slot is recycled.
@@ -121,7 +117,6 @@ class MacIface {
   virtual LinkEstimator& estimator() = 0;
   virtual const LinkEstimator& estimator() const = 0;
   virtual std::size_t queue_length() const = 0;
-  virtual std::size_t data_queue_length() const = 0;
 
   // --- counters (the conformance contract) ---
   virtual std::uint64_t queue_drops() const = 0;

@@ -102,25 +102,12 @@ void SlottedMac::transmit_head() {
 
   if (!lost) {
     // The handle moves out of the queue entry and rides the delivery
-    // event; no packet bytes are copied on a successful hop.
+    // event; no packet bytes are copied on a successful hop. It lands at
+    // the end of the slot (one airtime later).
     core::PacketPtr delivered = std::move(e.packet);
-    const core::NodeId from = self_;
     const core::NodeId to = e.next_hop;
     finish_head(q, /*delivered=*/true);
-    // Hand to the fabric at the end of the slot (one airtime later).
-    if (dispatch_) {
-      // Shard-routed path: the network schedules the delivery on the
-      // shard owning `to` and charges the receive energy there, at
-      // delivery-execution time (the receiver's accounting must live
-      // with the receiver's state).
-      dispatch_(slot_duration(), std::move(delivered), from, to);
-    } else {
-      energy_.charge_rx(to, delivered->size_bits());
-      sim_.schedule(slot_duration(), [this, p = std::move(delivered), from,
-                                      to]() mutable {
-        if (deliver_) deliver_(std::move(p), from, to);
-      });
-    }
+    if (deliver_) deliver_(slot_duration(), std::move(delivered), self_, to);
   } else if (e.attempts_done >= e.max_attempts) {
     // Attempt budget exhausted: local loss. Recovery, if the application
     // wants it, happens via SNACK + caches or the source (paper §4).

@@ -1,6 +1,6 @@
 // Shared MAC machinery: the bounded transmit queues, hook plumbing, and
-// attempt/drop counters every registered MAC uses, plus the slot-timed
-// transmit loop the TDMA family shares.
+// attempt/drop counters every MAC uses, plus the slot-timed transmit
+// loop the TDMA family shares.
 //
 // MacBase owns what is common to all disciplines — two fixed-capacity
 // FIFO rings (control ahead of data), the pre-xmit/deliver/trace hooks,
@@ -29,7 +29,6 @@ class MacBase : public MacIface {
   void set_attempt_trace(AttemptBudgetTrace t) override {
     attempt_trace_ = std::move(t);
   }
-  void set_dispatch(DeliveryDispatch d) override { dispatch_ = std::move(d); }
 
   bool enqueue(core::PacketPtr p, core::NodeId next_hop) override;
 
@@ -39,7 +38,6 @@ class MacBase : public MacIface {
   std::size_t queue_length() const override {
     return queue_.size() + ctrl_queue_.size();
   }
-  std::size_t data_queue_length() const override { return queue_.size(); }
 
   std::uint64_t queue_drops() const override { return queue_drops_; }
   std::uint64_t attempt_exhausted_drops() const override {
@@ -109,7 +107,6 @@ class MacBase : public MacIface {
   PreXmitHook pre_xmit_;
   DeliverHook deliver_;
   AttemptBudgetTrace attempt_trace_;
-  DeliveryDispatch dispatch_;
 
   std::uint64_t queue_drops_ = 0;
   std::uint64_t attempt_drops_ = 0;
@@ -119,10 +116,10 @@ class MacBase : public MacIface {
 };
 
 // The slot-timed transmit loop shared by the TDMA family: one attempt at
-// the head of the queue per owned slot, the delivery handed to the fabric
-// one slot-duration later. Concrete MACs supply the slot geometry — which
-// slot covers a time, when a slot starts, and which upcoming slot this
-// node owns.
+// the head of the queue per owned slot, a success handed to the deliver
+// hook to land one slot-duration later. Concrete MACs supply the slot
+// geometry — which slot covers a time, when a slot starts, and which
+// upcoming slot this node owns.
 class SlottedMac : public MacBase {
  protected:
   SlottedMac(sim::Simulator& sim, phy::Channel& channel,

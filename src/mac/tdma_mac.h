@@ -3,8 +3,8 @@
 // Binds the shared slot-timed transmit loop (mac/mac_base.h) to the
 // JAVeLEN-style pseudo-random TdmaSchedule: every node owns exactly one
 // slot per n-slot frame, so per-node capacity is 1/(n·slot). The first
-// registrant of the MacRegistry and the default everywhere — committed
-// baselines are pinned to its behaviour.
+// Mac value and the default everywhere — committed baselines are pinned
+// to its behaviour.
 #pragma once
 
 #include <cstdint>

@@ -25,15 +25,14 @@ Network::Shard::Shard(const NetworkConfig& cfg, const phy::Topology& topo)
       routing(std::make_unique<routing::LinkStateRouting>(sim, topo,
                                                           cfg.routing)),
       env(sim, pool) {
-  // The link layer comes from the registry: one fabric per shard, one
+  // The link layer comes from make_fabric: one fabric per shard, one
   // MacIface per node. MAC construction draws no randomness and
   // schedules no events, and the TDMA schedule/coloring is a pure
   // function of seed and topology — every shard's replica is identical,
   // and only the MACs of nodes the shard owns ever run.
   const mac::MacContext mctx{sim,     topo, channel, energy,
                              cfg.slot_duration_s, cfg.seed, cfg.mac};
-  fabric = mac::MacRegistry::instance().info(cfg.mac_kind).factory->make(
-      mctx);
+  fabric = mac::make_fabric(cfg.mac_kind, mctx);
 }
 
 Network::Network(phy::Topology topology, NetworkConfig cfg)
@@ -59,24 +58,18 @@ Network::Network(phy::Topology topology, NetworkConfig cfg)
   if (cfg_.mobility)
     mobility_ = std::make_unique<phy::RandomWaypoint>(
         shards_[0]->sim, topo_, *cfg_.mobility, rng_.derive("mobility"));
-  // Fabric delivery: successful transmissions land at the destination
-  // node's stack. The dispatch seam routes the delivery event to the
-  // destination's shard (and under K = 1 degenerates to the same-shard
-  // path); the plain deliver hook remains for MACs that do not take the
-  // seam. Only the owning shard's replica of a node's MAC ever runs, so
-  // only it is wired.
+  // Successful transmissions land at the destination node's stack
+  // through dispatch_delivery, which routes the landing to the
+  // destination's shard (under K = 1, the same shard). Only the owning
+  // shard's replica of a node's MAC ever runs, so only it is wired.
   nodes_.reserve(topo_.size());
   for (core::NodeId id = 0; id < topo_.size(); ++id) {
     Shard& sh = shard_at(id);
     mac::MacIface& m = sh.fabric->mac_of(id);
     nodes_.push_back(std::make_unique<Node>(id, m, *sh.routing, flows_,
                                             sh.pool, cfg_.node));
-    m.set_deliver(
-        [this](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
-          nodes_.at(to)->handle_delivery(std::move(p), from);
-        });
-    m.set_dispatch([this](double delay_s, core::PacketPtr&& p,
-                          core::NodeId from, core::NodeId to) {
+    m.set_deliver([this](double delay_s, core::PacketPtr&& p,
+                         core::NodeId from, core::NodeId to) {
       dispatch_delivery(delay_s, std::move(p), from, to);
     });
   }
@@ -127,7 +120,7 @@ void Network::dispatch_delivery(double delay_s, core::PacketPtr&& p,
 
 void Network::execute_delivery(core::PacketPtr&& p, core::NodeId from,
                                core::NodeId to) {
-  // Receive energy is charged at delivery execution, on the shard that
+  // Receive energy is charged here and nowhere else, on the shard that
   // owns the receiver's tally (shard-invariant accrual order: all of
   // node `to`'s charges happen in its own shard's event order).
   shard_at(to).energy.charge_rx(to, p->size_bits());
@@ -159,19 +152,16 @@ void Network::defer_from_to(core::NodeId from, core::NodeId to, double delay,
   runner_->post(sf, st, at, tie, owner, std::move(fn));
 }
 
-core::FlowId Network::allocate_flow(HopPolicy policy) {
-  const core::FlowId id = next_flow_id_++;
-  flows_.register_flow(id, policy);
-  return id;
-}
-
 FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                              const FlowOptions& opt) {
   if (src >= size() || dst >= size())
     throw std::invalid_argument("add_flow: endpoint out of range");
-  const TransportInfo& info = TransportRegistry::instance().info(proto);
+  // No route leads from a node to itself: such a flow would route-drop
+  // every packet and never finish.
+  if (src == dst)
+    throw std::invalid_argument("add_flow: src and dst are the same node");
 
-  // Path facts for the factory's defaults: the MAC's per-node share,
+  // Path facts for make_endpoints' defaults: the MAC's per-node share,
   // current hop count, and a pessimistic (with-retries) RTT estimate.
   // Shard 0's replicas answer; every shard's copies are identical.
   PathInfo path;
@@ -180,13 +170,10 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
   path.rtt_estimate_s =
       2.0 * path.hops * shards_[0]->fabric->frame_duration_s() * 1.5;
 
-  const core::FlowId flow = allocate_flow(info.hop_policy);
-  TransportEndpoints eps = info.factory->make(*this, flow, src, dst, opt,
-                                              path);
-  if (!eps.sender || !eps.receiver)
-    throw std::logic_error("add_flow: factory for '" +
-                           core::proto_name(proto) +
-                           "' returned an incomplete endpoint pair");
+  const core::FlowId flow = next_flow_id_++;
+  flows_.register_flow(flow, hop_policy(proto));
+  TransportEndpoints eps =
+      make_endpoints(proto, *this, flow, src, dst, opt, path);
   auto* snd = eps.sender.get();
   auto* rcv = eps.receiver.get();
   senders_.push_back(std::move(eps.sender));

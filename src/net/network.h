@@ -3,12 +3,15 @@
 // One Network = one simulation run: simulator, topology, channel, energy
 // model, MAC fabric, routing service, one Node per vertex, and the
 // transport endpoints attached to nodes. Flows attach through one
-// polymorphic entry point — add_flow(proto, src, dst, opts) — which
-// resolves the protocol in the TransportRegistry; the link layer is
-// resolved the same way, through the MacRegistry keyed by
-// NetworkConfig::mac_kind. The Network itself knows no protocol or MAC
-// names. This is the "adaptation layer" through which experiments and
-// examples use the library.
+// polymorphic entry point — add_flow(proto, src, dst, opts) — which asks
+// net/transport.h's switches over Proto for the hop policy and the
+// endpoint pair; the link layer comes from mac::make_fabric's switch over
+// NetworkConfig::mac_kind. Outside shard_config_error, which names the
+// MACs that shard, the Network names no protocol or MAC. Every
+// successful MAC transmission reaches the Network through one deliver
+// hook; dispatch_delivery schedules the landing and the landing charges
+// the receive energy. This is the "adaptation layer" through which
+// experiments and examples use the library.
 //
 // Sharded execution (NetworkConfig::shards > 1) is for static fields
 // under the slotted MACs (tdma, tdma_reuse) only. The node set is cut
@@ -38,7 +41,7 @@
 #include <vector>
 
 #include "core/transport.h"
-#include "mac/registry.h"
+#include "mac/fabric.h"
 #include "net/node.h"
 #include "net/sim_env.h"
 #include "net/transport.h"
@@ -57,7 +60,7 @@ struct NetworkConfig {
   std::uint64_t seed = 1;
   phy::ChannelConfig channel;
   phy::RadioConfig radio;
-  mac::Mac mac_kind = mac::Mac::kTdma;  // which registered MAC to build
+  mac::Mac mac_kind = mac::Mac::kTdma;  // which MAC fabric to build
   mac::MacConfig mac;
   routing::RoutingConfig routing;
   NodeConfig node;
@@ -84,11 +87,11 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // --- flow attachment (endpoints are owned by the network) ---
-  // Builds the proto's endpoint pair through the TransportRegistry, wires
-  // it to the src/dst nodes, and returns the uniform handle. The flow is
-  // idle until start() is invoked on it (FlowManager does the
-  // scheduling). Throws std::invalid_argument on out-of-range endpoints
-  // or an unregistered protocol.
+  // Registers a fresh flow id under the proto's hop policy, builds its
+  // endpoint pair (net::make_endpoints), wires it to the src/dst nodes,
+  // and returns the uniform handle. The flow is idle until start() is
+  // invoked on it (FlowManager does the scheduling). Throws
+  // std::invalid_argument on out-of-range endpoints or src == dst.
   FlowHandle add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                       const FlowOptions& opt = {});
 
@@ -178,11 +181,13 @@ class Network {
 
   Shard& shard_at(core::NodeId id) { return *shards_[shard_of_.at(id)]; }
 
-  // MAC delivery seam: schedules the delivery event in `to`'s shard
-  // (charging the receive energy there at execution time) — same-shard
-  // through the zero-alloc pipeline, cross-shard through the runner.
+  // Every MAC's deliver hook: schedules the landing in `to`'s shard —
+  // same-shard through the zero-alloc pipeline, cross-shard through the
+  // runner. The only place a delivery is scheduled.
   void dispatch_delivery(double delay_s, core::PacketPtr&& p,
                          core::NodeId from, core::NodeId to);
+  // The landing: charges the receive energy (the only place it is
+  // charged) and hands the packet to `to`'s stack.
   void execute_delivery(core::PacketPtr&& p, core::NodeId from,
                         core::NodeId to);
 
@@ -205,12 +210,6 @@ class Network {
   // reverse member order).
   std::vector<std::unique_ptr<core::TransportSender>> senders_;
   std::vector<std::unique_ptr<core::TransportReceiver>> receivers_;
-
- public:
-  // Allocates a fresh flow id under a hop policy (visible for custom
-  // wiring in tests).
-  core::FlowId allocate_flow(HopPolicy policy);
-  FlowTable& flow_table() { return flows_; }
 };
 
 }  // namespace jtp::net

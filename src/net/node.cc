@@ -103,7 +103,6 @@ void Node::handle_delivery(core::PacketPtr p, core::NodeId /*from*/) {
   }
 
   if (!local) {
-    ++forwarded_;
     send(std::move(p));
     return;
   }

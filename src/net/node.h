@@ -24,17 +24,16 @@
 namespace jtp::net {
 
 // The in-network half of a transport: how intermediate hops treat a
-// flow's packets. This is a small closed set of per-hop behaviours — an
-// open-ended set of end-to-end protocols (see net::TransportRegistry)
-// picks from it at registration time, so a new protocol needs no edits
-// here.
+// flow's packets. This is a small closed set of per-hop behaviours; each
+// end-to-end protocol picks one (net::hop_policy), so a new protocol
+// needs no edits here.
 enum class HopPolicy : std::uint8_t {
   kIjtp,       // Algorithms 1-2: attempt control, caching, SNACK service
   kRateStamp,  // ATP-style available-rate stamping, fixed attempts
   kPlain,      // no in-network help, fixed attempts (TCP)
 };
 
-// Shared flow -> hop-policy registry (one per Network).
+// Shared flow -> hop-policy table (one per Network).
 class FlowTable {
  public:
   void register_flow(core::FlowId flow, HopPolicy policy) {
@@ -90,7 +89,6 @@ class Node final : public core::PacketSink {
   void attach_ack_handler(core::FlowId flow, PacketHandler h);
 
   std::uint64_t route_drops() const { return route_drops_; }
-  std::uint64_t forwarded() const { return forwarded_; }
 
  private:
   mac::PreXmitDecision pre_xmit(core::Packet& p, core::NodeId next_hop,
@@ -109,7 +107,6 @@ class Node final : public core::PacketSink {
   std::unordered_map<core::FlowId, PacketHandler> ack_handlers_;
 
   std::uint64_t route_drops_ = 0;
-  std::uint64_t forwarded_ = 0;
 };
 
 }  // namespace jtp::net

@@ -14,246 +14,157 @@ namespace jtp::net {
 
 namespace {
 
-// JTP (and JNC, which shares the endpoints and differs only in the
-// network-level caching switch).
-class JtpFactory final : public TransportFactory {
- public:
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    // A flow can never exceed the TDMA per-node share (every hop must
-    // relay it from its own slots); a rate floor well above zero keeps
-    // the control loop observable (samples arrive with data packets).
-    const double capacity = path.node_capacity_pps;
-    const double rate_cap = std::min(opt.app_delivery_cap_pps, capacity);
-    const double rate_floor = std::max(0.1, 0.07 * capacity);
-
-    core::SenderConfig s;
-    s.flow = flow;
-    s.src = src;
-    s.dst = dst;
-    s.loss_tolerance = opt.loss_tolerance;
-    s.initial_rate_pps = opt.initial_rate_pps;
-    s.initial_energy_budget = opt.initial_energy_budget;
-    s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
-    s.min_rate_pps = rate_floor;
-
-    core::ReceiverConfig r;
-    r.flow = flow;
-    r.src = src;
-    r.dst = dst;
-    r.loss_tolerance = opt.loss_tolerance;
-    r.feedback_mode = opt.feedback_mode;
-    r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
-    r.t_lower_bound_s = opt.t_lower_bound_s;
-    r.rtt_estimate_s = path.rtt_estimate_s;
-    r.energy_beta = opt.energy_beta;
-    r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
-    r.monitor = opt.monitor;
-    r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
-    r.rate.initial_rate_pps = opt.initial_rate_pps;
-    r.rate.delta_pps = 0.15 * capacity;  // headroom target δ
-    r.rate.min_rate_pps = rate_floor;
-    r.rate.max_rate_pps = rate_cap;
-
-    TransportEndpoints eps;
-    eps.sender =
-        std::make_unique<core::EjtpSender>(net.env_for(src), net.node(src), s);
-    eps.receiver =
-        std::make_unique<core::EjtpReceiver>(net.env_for(dst), net.node(dst), r);
-    return eps;
-  }
+// The eJTP sender/receiver configs, shared by jtp, jnc (which differs
+// only in the network-level caching switch) and jtp_dr.
+struct EjtpConfigs {
+  core::SenderConfig sender;
+  core::ReceiverConfig receiver;
 };
 
-class TcpFactory final : public TransportFactory {
- public:
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    baselines::TcpConfig c;
-    c.flow = flow;
-    c.src = src;
-    c.dst = dst;
-    c.initial_rate_pps = opt.initial_rate_pps;
-    c.initial_rtt_s = path.rtt_estimate_s;
-    c.max_rate_pps = 4.0 * path.node_capacity_pps;
+EjtpConfigs ejtp_configs(const Network& net, core::FlowId flow,
+                         core::NodeId src, core::NodeId dst,
+                         const FlowOptions& opt, const PathInfo& path) {
+  // A flow can never exceed the TDMA per-node share (every hop must
+  // relay it from its own slots); a rate floor well above zero keeps
+  // the control loop observable (samples arrive with data packets).
+  const double capacity = path.node_capacity_pps;
+  const double rate_cap = std::min(opt.app_delivery_cap_pps, capacity);
+  const double rate_floor = std::max(0.1, 0.07 * capacity);
 
-    TransportEndpoints eps;
-    eps.sender = std::make_unique<baselines::TcpSackSender>(
-        net.env_for(src), net.node(src), c);
-    eps.receiver = std::make_unique<baselines::TcpSackReceiver>(
-        net.env_for(dst), net.node(dst), c);
-    return eps;
-  }
-};
+  EjtpConfigs c;
+  core::SenderConfig& s = c.sender;
+  s.flow = flow;
+  s.src = src;
+  s.dst = dst;
+  s.loss_tolerance = opt.loss_tolerance;
+  s.initial_rate_pps = opt.initial_rate_pps;
+  s.initial_energy_budget = opt.initial_energy_budget;
+  s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
+  s.min_rate_pps = rate_floor;
 
-class AtpFactory final : public TransportFactory {
- public:
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    baselines::AtpConfig c;
-    c.flow = flow;
-    c.src = src;
-    c.dst = dst;
-    c.initial_rate_pps = opt.initial_rate_pps;
-    c.feedback_period_s =
-        std::max(3.0, 1.1 * path.rtt_estimate_s);  // D > RTT
-    c.max_rate_pps = 4.0 * path.node_capacity_pps;
+  core::ReceiverConfig& r = c.receiver;
+  r.flow = flow;
+  r.src = src;
+  r.dst = dst;
+  r.loss_tolerance = opt.loss_tolerance;
+  r.feedback_mode = opt.feedback_mode;
+  r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
+  r.t_lower_bound_s = opt.t_lower_bound_s;
+  r.rtt_estimate_s = path.rtt_estimate_s;
+  r.energy_beta = opt.energy_beta;
+  r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
+  r.monitor = opt.monitor;
+  r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
+  r.rate.initial_rate_pps = opt.initial_rate_pps;
+  r.rate.delta_pps = 0.15 * capacity;  // headroom target δ
+  r.rate.min_rate_pps = rate_floor;
+  r.rate.max_rate_pps = rate_cap;
+  return c;
+}
 
-    TransportEndpoints eps;
-    eps.sender =
-        std::make_unique<baselines::AtpSender>(net.env_for(src), net.node(src), c);
-    eps.receiver =
-        std::make_unique<baselines::AtpReceiver>(net.env_for(dst), net.node(dst), c);
-    return eps;
-  }
-};
-
-// Delivery-rate-adaptive JTP: the stock eJTP endpoint pair, but the
-// sender is wrapped so the PI²/MD input Ā is a sender-side delivery-rate
-// estimate instead of the destination's per-hop idle-rate aggregate.
-class JtpDrFactory final : public TransportFactory {
- public:
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    const double capacity = path.node_capacity_pps;
-    const double rate_cap = std::min(opt.app_delivery_cap_pps, capacity);
-    const double rate_floor = std::max(0.1, 0.07 * capacity);
-
-    core::SenderConfig s;
-    s.flow = flow;
-    s.src = src;
-    s.dst = dst;
-    s.loss_tolerance = opt.loss_tolerance;
-    s.initial_rate_pps = opt.initial_rate_pps;
-    s.initial_energy_budget = opt.initial_energy_budget;
-    s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
-    s.min_rate_pps = rate_floor;
-
-    core::ReceiverConfig r;
-    r.flow = flow;
-    r.src = src;
-    r.dst = dst;
-    r.loss_tolerance = opt.loss_tolerance;
-    r.feedback_mode = opt.feedback_mode;
-    r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
-    r.t_lower_bound_s = opt.t_lower_bound_s;
-    r.rtt_estimate_s = path.rtt_estimate_s;
-    r.energy_beta = opt.energy_beta;
-    r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
-    r.monitor = opt.monitor;
-    r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
-    r.rate.initial_rate_pps = opt.initial_rate_pps;
-    r.rate.delta_pps = 0.15 * capacity;
-    r.rate.min_rate_pps = rate_floor;
-    r.rate.max_rate_pps = rate_cap;
-
-    core::JtpDrConfig dr;
-    dr.rate.initial_rate_pps = opt.initial_rate_pps;
-    // δ for a *delivery-rate* Ā is a collapse guard, not a headroom
-    // target (see JtpDrConfig): per-flow delivery under fair sharing sits
-    // far below capacity without meaning congestion.
-    dr.rate.delta_pps = 0.02 * capacity;
-    dr.rate.min_rate_pps = rate_floor;
-    dr.rate.max_rate_pps = rate_cap;
-
-    TransportEndpoints eps;
-    eps.sender = std::make_unique<core::JtpDrSender>(net.env_for(src),
-                                                     net.node(src), s, dr);
-    eps.receiver = std::make_unique<core::EjtpReceiver>(net.env_for(dst),
-                                                        net.node(dst), r);
-    return eps;
-  }
-};
-
-// BBR-style pacing over the TCP-SACK feedback channel: same receiver,
-// same headers, same ACK cadence as kTcp — only the sender's
-// congestion-control model differs.
-class BbrFactory final : public TransportFactory {
- public:
-  TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
-                          core::NodeId dst, const FlowOptions& opt,
-                          const PathInfo& path) const override {
-    baselines::BbrConfig c;
-    c.flow = flow;
-    c.src = src;
-    c.dst = dst;
-    c.initial_rate_pps = opt.initial_rate_pps;
-    c.initial_rtt_s = path.rtt_estimate_s;
-    c.max_rate_pps = 4.0 * path.node_capacity_pps;
-
-    baselines::TcpConfig t;
-    t.flow = flow;
-    t.src = src;
-    t.dst = dst;
-    t.initial_rtt_s = path.rtt_estimate_s;
-
-    TransportEndpoints eps;
-    eps.sender = std::make_unique<baselines::BbrSender>(net.env_for(src),
-                                                        net.node(src), c);
-    eps.receiver = std::make_unique<baselines::TcpSackReceiver>(
-        net.env_for(dst), net.node(dst), t);
-    return eps;
-  }
-};
+// TCP-SACK's config; tcp and bbr share its receiver, which reads only the
+// flow identity and the ACK cadence.
+baselines::TcpConfig tcp_config(core::FlowId flow, core::NodeId src,
+                                core::NodeId dst, const FlowOptions& opt,
+                                const PathInfo& path) {
+  baselines::TcpConfig c;
+  c.flow = flow;
+  c.src = src;
+  c.dst = dst;
+  c.initial_rate_pps = opt.initial_rate_pps;
+  c.initial_rtt_s = path.rtt_estimate_s;
+  c.max_rate_pps = 4.0 * path.node_capacity_pps;
+  return c;
+}
 
 }  // namespace
 
-TransportRegistry::TransportRegistry() {
-  const auto jtp = std::make_shared<const JtpFactory>();
-  add({Proto::kJtp, HopPolicy::kIjtp, /*caching=*/true, jtp});
-  add({Proto::kJnc, HopPolicy::kIjtp, /*caching=*/false, jtp});
-  add({Proto::kTcp, HopPolicy::kPlain, /*caching=*/true,
-       std::make_shared<const TcpFactory>()});
-  add({Proto::kAtp, HopPolicy::kRateStamp, /*caching=*/true,
-       std::make_shared<const AtpFactory>()});
-  add({Proto::kJtpDr, HopPolicy::kIjtp, /*caching=*/true,
-       std::make_shared<const JtpDrFactory>()});
-  add({Proto::kBbr, HopPolicy::kPlain, /*caching=*/true,
-       std::make_shared<const BbrFactory>()});
+HopPolicy hop_policy(Proto p) {
+  switch (p) {
+    case Proto::kJtp:
+    case Proto::kJnc:
+    case Proto::kJtpDr: return HopPolicy::kIjtp;
+    case Proto::kAtp: return HopPolicy::kRateStamp;
+    case Proto::kTcp:
+    case Proto::kBbr: return HopPolicy::kPlain;
+  }
+  throw std::invalid_argument("hop_policy: unknown protocol");
 }
 
-TransportRegistry& TransportRegistry::instance() {
-  static TransportRegistry registry;
-  return registry;
+bool caching_allowed(Proto p) {
+  switch (p) {
+    case Proto::kJnc: return false;
+    case Proto::kJtp:
+    case Proto::kTcp:
+    case Proto::kAtp:
+    case Proto::kJtpDr:
+    case Proto::kBbr: return true;
+  }
+  throw std::invalid_argument("caching_allowed: unknown protocol");
 }
 
-void TransportRegistry::add(TransportInfo info) {
-  if (!info.factory)
-    throw std::invalid_argument("TransportRegistry: null factory for '" +
-                                core::proto_name(info.proto) + "'");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.proto == info.proto)
-      throw std::invalid_argument("TransportRegistry: '" +
-                                  core::proto_name(info.proto) +
-                                  "' is already registered");
-  entries_.push_back(std::move(info));
-}
-
-const TransportInfo& TransportRegistry::info(Proto p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.proto == p) return e;
-  throw std::invalid_argument("TransportRegistry: protocol '" +
-                              core::proto_name(p) + "' is not registered");
-}
-
-bool TransportRegistry::registered(Proto p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_)
-    if (e.proto == p) return true;
-  return false;
-}
-
-std::vector<Proto> TransportRegistry::protos() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Proto> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.proto);
-  return out;
+TransportEndpoints make_endpoints(Proto p, Network& net, core::FlowId flow,
+                                  core::NodeId src, core::NodeId dst,
+                                  const FlowOptions& opt,
+                                  const PathInfo& path) {
+  core::Env& senv = net.env_for(src);
+  core::Env& denv = net.env_for(dst);
+  Node& snode = net.node(src);
+  Node& dnode = net.node(dst);
+  switch (p) {
+    case Proto::kJtp:
+    case Proto::kJnc: {
+      const EjtpConfigs c = ejtp_configs(net, flow, src, dst, opt, path);
+      return {std::make_unique<core::EjtpSender>(senv, snode, c.sender),
+              std::make_unique<core::EjtpReceiver>(denv, dnode, c.receiver)};
+    }
+    case Proto::kJtpDr: {
+      // The stock eJTP pair, but the sender's PI²/MD input Ā is a
+      // sender-side delivery-rate estimate instead of the destination's
+      // per-hop idle-rate aggregate. Its δ is a collapse guard, not a
+      // headroom target (see JtpDrConfig): per-flow delivery under fair
+      // sharing sits far below capacity without meaning congestion.
+      const EjtpConfigs c = ejtp_configs(net, flow, src, dst, opt, path);
+      core::JtpDrConfig dr;
+      dr.rate = c.receiver.rate;
+      dr.rate.delta_pps = 0.02 * path.node_capacity_pps;
+      return {std::make_unique<core::JtpDrSender>(senv, snode, c.sender, dr),
+              std::make_unique<core::EjtpReceiver>(denv, dnode, c.receiver)};
+    }
+    case Proto::kTcp: {
+      const baselines::TcpConfig c = tcp_config(flow, src, dst, opt, path);
+      return {std::make_unique<baselines::TcpSackSender>(senv, snode, c),
+              std::make_unique<baselines::TcpSackReceiver>(denv, dnode, c)};
+    }
+    case Proto::kAtp: {
+      baselines::AtpConfig c;
+      c.flow = flow;
+      c.src = src;
+      c.dst = dst;
+      c.initial_rate_pps = opt.initial_rate_pps;
+      c.feedback_period_s =
+          std::max(3.0, 1.1 * path.rtt_estimate_s);  // D > RTT
+      c.max_rate_pps = 4.0 * path.node_capacity_pps;
+      return {std::make_unique<baselines::AtpSender>(senv, snode, c),
+              std::make_unique<baselines::AtpReceiver>(denv, dnode, c)};
+    }
+    case Proto::kBbr: {
+      // BBR-style pacing over the TCP-SACK feedback channel: same
+      // receiver, same headers, same ACK cadence as tcp — only the
+      // sender's congestion-control model differs.
+      baselines::BbrConfig c;
+      c.flow = flow;
+      c.src = src;
+      c.dst = dst;
+      c.initial_rate_pps = opt.initial_rate_pps;
+      c.initial_rtt_s = path.rtt_estimate_s;
+      c.max_rate_pps = 4.0 * path.node_capacity_pps;
+      return {std::make_unique<baselines::BbrSender>(senv, snode, c),
+              std::make_unique<baselines::TcpSackReceiver>(
+                  denv, dnode, tcp_config(flow, src, dst, opt, path))};
+    }
+  }
+  throw std::invalid_argument("make_endpoints: unknown protocol");
 }
 
 }  // namespace jtp::net

@@ -1,18 +1,18 @@
-// The transport factory/registry: how protocols plug into a Network.
+// How protocols plug into a Network: one switch over core::Proto per
+// question.
 //
-// A transport implementation registers once under a core::Proto value,
-// declaring (a) its in-network HopPolicy, (b) whether in-network caches
-// may serve its flows, and (c) a factory that builds a wired
-// sender/receiver endpoint pair. `Network::add_flow(proto, src, dst,
-// opts)` looks the protocol up here and returns a uniform FlowHandle —
-// adding a protocol is one registration; Network, FlowManager, Node, the
-// benches, and the metrics pipeline need no edits.
+// hop_policy(p) is the in-network HopPolicy of p's packets,
+// caching_allowed(p) whether in-network caches may serve p's flows, and
+// make_endpoints(p, ...) builds p's wired sender/receiver pair.
+// `Network::add_flow(proto, src, dst, opts)` uses the first and the last
+// and returns a uniform FlowHandle; the scenario layer and FlowManager
+// use caching_allowed. FlowManager, Node, the benches and the metrics
+// pipeline never name a protocol. Each function is a switch with no
+// default: -Wswitch (an error in this build) names every one a new Proto
+// value must reach.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "core/ejtp_receiver.h"  // FeedbackMode
 #include "core/path_monitor.h"
@@ -27,7 +27,7 @@ class Network;
 using core::Proto;
 
 // Per-flow knobs that individual experiments vary. They are
-// protocol-independent; each factory maps the subset its protocol
+// protocol-independent; make_endpoints maps the subset each protocol
 // understands onto that protocol's own config.
 struct FlowOptions {
   double loss_tolerance = 0.0;
@@ -47,7 +47,7 @@ struct FlowOptions {
 };
 
 // Facts about the src->dst path at attachment time, precomputed by the
-// Network so factories can derive rate caps and RTT-based timeouts.
+// Network so make_endpoints can derive rate caps and RTT-based timeouts.
 struct PathInfo {
   double node_capacity_pps = 0.0;  // TDMA per-node share
   int hops = 1;
@@ -99,59 +99,20 @@ struct TransportEndpoints {
   std::unique_ptr<core::TransportReceiver> receiver;
 };
 
-// Builds the endpoint pair of one flow. Implementations construct the
-// sender against net.node(src) and the receiver against net.node(dst) and
-// must not schedule events or start timers — the flow starts when the
-// caller invokes start() on the endpoints.
-class TransportFactory {
- public:
-  virtual ~TransportFactory() = default;
-  virtual TransportEndpoints make(Network& net, core::FlowId flow,
+// How intermediate hops treat p's packets.
+HopPolicy hop_policy(Proto p);
+
+// False => p requires a network built with in-network caching disabled
+// (scenario builders honor this; FlowManager enforces it).
+bool caching_allowed(Proto p);
+
+// Builds p's endpoint pair for one flow: the sender against
+// net.node(src), the receiver against net.node(dst). Schedules no events
+// and starts no timers — the flow starts when the caller invokes start()
+// on the endpoints.
+TransportEndpoints make_endpoints(Proto p, Network& net, core::FlowId flow,
                                   core::NodeId src, core::NodeId dst,
                                   const FlowOptions& opt,
-                                  const PathInfo& path) const = 0;
-};
-
-// Everything the stack needs to know about a registered protocol.
-struct TransportInfo {
-  Proto proto = Proto::kJtp;
-  HopPolicy hop_policy = HopPolicy::kPlain;
-  // False => the protocol requires a network built with in-network
-  // caching disabled (scenario builders honor this; FlowManager enforces
-  // it).
-  bool caching = true;
-  std::shared_ptr<const TransportFactory> factory;
-};
-
-// Process-wide protocol registry. The builtin protocols (the four paper
-// protocols plus the delivery-rate transports jtp_dr/bbr) are registered
-// on first use; additional protocols must be registered before any
-// simulation threads start (registration and lookup are mutex-guarded,
-// but the entries themselves are immutable once added — this is the one
-// deliberate process-global in the stack, and it holds no per-run state,
-// so seed-parallel determinism is unaffected).
-class TransportRegistry {
- public:
-  static TransportRegistry& instance();
-
-  // Throws std::invalid_argument if `info.proto` is already registered or
-  // `info.factory` is null.
-  void add(TransportInfo info);
-
-  // Throws std::invalid_argument on an unregistered proto.
-  const TransportInfo& info(Proto p) const;
-
-  bool registered(Proto p) const;
-  bool caching_enabled(Proto p) const { return info(p).caching; }
-
-  // Registered protos in registration order (builtins first).
-  std::vector<Proto> protos() const;
-
- private:
-  TransportRegistry();  // registers the builtins (jtp … jtp_dr, bbr)
-
-  mutable std::mutex mu_;
-  std::deque<TransportInfo> entries_;  // deque: info() refs stay valid
-};
+                                  const PathInfo& path);
 
 }  // namespace jtp::net

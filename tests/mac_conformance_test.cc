@@ -1,13 +1,13 @@
-// Cross-MAC conformance suite: the behavioural contract every registered
-// MAC discipline must honor, parameterized over MacRegistry's contents.
+// Cross-MAC conformance suite: the behavioural contract every MAC
+// discipline must honor, parameterized over mac::kAllMacs.
 //
 // mac/mac.h defines the seam (queue/attempt/retry state machine, pre-xmit
 // and delivery hooks, LinkEstimator feed, drop counters); these tests pin
-// it once for all registrants — classic TDMA, spatial-reuse TDMA, and
-// CSMA/CA today, plus anything registered tomorrow: a new MAC passes this
-// suite or it does not ship. The last test exercises the extension seam
-// itself by registering a discipline under Mac::kExt at runtime.
-#include "mac/registry.h"
+// it once for every discipline — classic TDMA, spatial-reuse TDMA, and
+// CSMA/CA today, and any Mac value added to kAllMacs tomorrow: a new MAC
+// passes this suite or it does not ship. NetworkDelivery pins where the
+// receive energy is charged: by Network, once per landed frame.
+#include "mac/fabric.h"
 
 #include <gtest/gtest.h>
 
@@ -19,17 +19,19 @@
 #include "exp/workload.h"
 #include "mac/csma_mac.h"
 #include "mac/mac.h"
+#include "net/network.h"
 #include "phy/channel.h"
 #include "phy/energy_model.h"
 #include "phy/topology.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace jtp::mac {
 namespace {
 
-// A fabric built straight from the registry — the same path Network
-// takes — on a small linear field.
+// A fabric built by make_fabric — the same path Network takes — on a
+// small linear field.
 struct FabricRig {
   explicit FabricRig(Mac m, double loss = 0.0, std::size_t n = 2,
                      MacConfig mc = {})
@@ -38,10 +40,9 @@ struct FabricRig {
         energy(n, {}) {
     const MacContext ctx{sim, topo, channel, energy, /*slot=*/0.01,
                          /*seed=*/7, mc};
-    fabric = MacRegistry::instance().info(m).factory->make(ctx);
+    fabric = make_fabric(m, ctx);
     for (core::NodeId id = 0; id < n; ++id)
-      fabric->mac_of(id).set_deliver(
-          [](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+      fabric->mac_of(id).set_deliver(testing::land(sim, testing::discard));
   }
   static phy::ChannelConfig make_channel_cfg(double loss) {
     phy::ChannelConfig c;
@@ -80,7 +81,7 @@ class MacConformance : public ::testing::TestWithParam<Mac> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllMacs, MacConformance,
-    ::testing::ValuesIn(MacRegistry::instance().macs()),
+    ::testing::ValuesIn(kAllMacs),
     [](const ::testing::TestParamInfo<Mac>& info) {
       return mac_name(info.param);
     });
@@ -88,18 +89,21 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(MacConformance, DeliversOverLosslessLink) {
   FabricRig r(GetParam());
   int delivered = 0;
-  r.fabric->mac_of(0).set_deliver(
-      [&](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
+  r.fabric->mac_of(0).set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
         EXPECT_EQ(from, 0u);
         EXPECT_EQ(to, 1u);
         EXPECT_EQ(p->seq, 0u);
         ++delivered;
-      });
+      }));
   r.fabric->mac_of(0).enqueue(r.data(), 1);
   r.sim.run_until(2.0);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(r.fabric->mac_of(0).deliveries(), 1u);
   EXPECT_EQ(r.fabric->mac_of(0).transmissions(), 1u);
+  // The receiver's energy is the deliver hook's to charge, not the MAC's
+  // (see NetworkDelivery below).
+  EXPECT_DOUBLE_EQ(r.energy.node_energy(1), 0.0);
 }
 
 TEST_P(MacConformance, RetryAccountingMatchesEstimatorFeed) {
@@ -157,10 +161,10 @@ TEST_P(MacConformance, QueueFullDropsAndReportsFailure) {
 TEST_P(MacConformance, ControlTrafficBypassesDataBacklog) {
   FabricRig r(GetParam());
   std::vector<bool> order;  // true = ack
-  r.fabric->mac_of(0).set_deliver(
-      [&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
+  r.fabric->mac_of(0).set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
         order.push_back(p->is_ack());
-      });
+      }));
   for (core::SeqNo s = 0; s < 10; ++s)
     r.fabric->mac_of(0).enqueue(r.data(s), 1);
   r.fabric->mac_of(0).enqueue(r.ack_packet(), 1);
@@ -224,6 +228,38 @@ TEST_P(MacConformance, PinnedSeedRunsAreBitStable) {
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);  // exact, not NEAR
 }
 
+// ---- where the receive energy is charged --------------------------------
+
+class NetworkDelivery : public ::testing::TestWithParam<Mac> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMacs, NetworkDelivery, ::testing::ValuesIn(kAllMacs),
+    [](const ::testing::TestParamInfo<Mac>& info) {
+      return mac_name(info.param);
+    });
+
+TEST_P(NetworkDelivery, ChargesTheReceiverOncePerDeliveredFrame) {
+  // One frame over one lossless hop: the MAC charges the sender for its
+  // one attempt, and Network charges the receiver once, when the frame
+  // lands.
+  net::NetworkConfig cfg;
+  cfg.mac_kind = GetParam();
+  cfg.channel.fading_enabled = false;
+  cfg.channel.loss_good = 0.0;
+  net::Network net(phy::Topology::linear(2, 30.0, 40.0), cfg);
+  core::PacketPtr p = net.packet_pool().make();
+  p->type = core::PacketType::kData;
+  p->flow = 1;
+  p->src = 0;
+  p->dst = 1;
+  const double bits = p->size_bits();
+  ASSERT_TRUE(net.mac_of(0).enqueue(std::move(p), 1));
+  net.run_until(5.0);
+  EXPECT_EQ(net.mac_of(0).deliveries(), 1u);
+  EXPECT_DOUBLE_EQ(net.node_energy(0), net.energy().tx_energy(bits));
+  EXPECT_DOUBLE_EQ(net.node_energy(1), net.energy().rx_energy(bits));
+}
+
 // ---- the shared medium's collision bookkeeping ---------------------------
 
 // linear(3, 30, 40): 0 and 2 both hear 1 but not each other — the
@@ -272,31 +308,6 @@ TEST(CsmaMedium, CcaTracksAudibleInFlightFramesOnly) {
   EXPECT_FALSE(medium.busy(1, 1.0));  // half-open: gone at its end time
   medium.finish_tx(tx);
   EXPECT_FALSE(medium.busy(1, 0.5));  // record released with the frame
-}
-
-// ---- the extension seam itself -------------------------------------------
-
-TEST(MacRegistryExtension, RuntimeRegistrationUnderExtSlot) {
-  auto& reg = MacRegistry::instance();
-  // The registry is process-wide, so a prior pass (--gtest_repeat) may
-  // already have registered kExt; the fresh-slot assertions only apply
-  // the first time through.
-  if (!reg.registered(Mac::kExt)) {
-    EXPECT_THROW(reg.info(Mac::kExt), std::invalid_argument);
-    // Register a discipline under the experiment slot — here TDMA's own
-    // factory; a real experiment would supply its own fabric.
-    reg.add({Mac::kExt, reg.info(Mac::kTdma).factory});
-  }
-  EXPECT_TRUE(reg.registered(Mac::kExt));
-  EXPECT_THROW(reg.add({Mac::kExt, reg.info(Mac::kTdma).factory}),
-               std::invalid_argument);
-
-  // kExt stays off the CLI surface but builds and runs like any builtin.
-  EXPECT_FALSE(parse_mac("ext").has_value());
-  auto spec = chain_spec(Mac::kExt);
-  auto s = exp::build(spec);
-  s.network->run_until(120.0);
-  EXPECT_EQ(s.flows->collect(120.0).delivered_packets, 30u);
 }
 
 }  // namespace

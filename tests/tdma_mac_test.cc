@@ -9,6 +9,7 @@
 #include "phy/energy_model.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace jtp::mac {
 namespace {
@@ -58,12 +59,12 @@ struct Rig {
 TEST(TdmaMac, DeliversOverLosslessLink) {
   Rig r;
   std::vector<core::Packet> delivered;
-  r.macs[0]->set_deliver([&](core::PacketPtr&& p, core::NodeId from,
-                             core::NodeId to) {
-    EXPECT_EQ(from, 0u);
-    EXPECT_EQ(to, 1u);
-    delivered.push_back(std::move(*p));
-  });
+  r.macs[0]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
+        EXPECT_EQ(from, 0u);
+        EXPECT_EQ(to, 1u);
+        delivered.push_back(std::move(*p));
+      }));
   r.macs[0]->enqueue(r.data(), 1);
   r.sim.run_until(1.0);
   ASSERT_EQ(delivered.size(), 1u);
@@ -74,7 +75,7 @@ TEST(TdmaMac, DeliversOverLosslessLink) {
 TEST(TdmaMac, TransmitsOnlyInOwnedSlots) {
   Rig r;
   double tx_time = -1.0;
-  r.macs[0]->set_deliver([&](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   r.macs[0]->set_pre_xmit([&](core::Packet&, core::NodeId,
                               const core::LinkView&, core::Joules,
                               bool) -> PreXmitDecision {
@@ -93,7 +94,7 @@ TEST(TdmaMac, QueueOverflowDrops) {
   MacConfig mc;
   mc.queue_capacity_packets = 3;
   Rig r(0.0, 2, mc);
-  r.macs[0]->set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   for (core::SeqNo s = 0; s < 5; ++s) r.macs[0]->enqueue(r.data(s), 1);
   EXPECT_EQ(r.macs[0]->queue_drops(), 2u);
   EXPECT_EQ(r.macs[0]->queue_length(), 3u);
@@ -160,9 +161,10 @@ TEST(TdmaMac, EnergyChargedPerAttemptAtSenderAndOnSuccessAtReceiver) {
 TEST(TdmaMac, FifoOrderPreserved) {
   Rig r;
   std::vector<core::SeqNo> order;
-  r.macs[0]->set_deliver([&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
-    order.push_back(p->seq);
-  });
+  r.macs[0]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
+        order.push_back(p->seq);
+      }));
   for (core::SeqNo s = 0; s < 5; ++s) r.macs[0]->enqueue(r.data(s), 1);
   r.sim.run_until(2.0);
   EXPECT_EQ(order, (std::vector<core::SeqNo>{0, 1, 2, 3, 4}));
@@ -170,7 +172,7 @@ TEST(TdmaMac, FifoOrderPreserved) {
 
 TEST(TdmaMac, LossEstimatorLearnsFromAttempts) {
   Rig r(/*loss=*/0.3, 2);
-  r.macs[0]->set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   // Keep feeding packets; after many, the loss estimate approaches 0.3.
   for (core::SeqNo s = 0; s < 2000; ++s) r.macs[0]->enqueue(r.data(s), 1);
   r.sim.run_until(100.0);
@@ -181,7 +183,7 @@ TEST(TdmaMac, LossEstimatorLearnsFromAttempts) {
 TEST(TdmaMac, AttemptTraceFiresOnFirstAttemptOfData) {
   Rig r;
   std::vector<int> budgets;
-  r.macs[0]->set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   r.macs[0]->set_pre_xmit([](core::Packet&, core::NodeId,
                              const core::LinkView&, core::Joules,
                              bool) -> PreXmitDecision {
@@ -201,8 +203,10 @@ TEST(TdmaMac, CapacityIsOnePacketPerOwnedSlot) {
   // delivery rate equals the TDMA share.
   Rig r;
   int delivered = 0;
-  r.macs[0]->set_deliver(
-      [&](core::PacketPtr&&, core::NodeId, core::NodeId) { ++delivered; });
+  r.macs[0]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&&, core::NodeId, core::NodeId) {
+        ++delivered;
+      }));
   for (core::SeqNo s = 0; s < 50; ++s) r.macs[0]->enqueue(r.data(s), 1);
   // 2 nodes, 0.01 s slots => frame 0.02 s => 50 pps share. In 0.5 s the
   // node may send at most 25+1 packets.
@@ -214,7 +218,7 @@ TEST(TdmaMac, CapacityIsOnePacketPerOwnedSlot) {
 TEST(TdmaMac, DistinctSlotsForConsecutivePackets) {
   Rig r;
   std::vector<std::uint64_t> slots;
-  r.macs[0]->set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   r.macs[0]->set_pre_xmit([&](core::Packet&, core::NodeId,
                               const core::LinkView&, core::Joules,
                               bool) -> PreXmitDecision {
@@ -233,9 +237,10 @@ TEST(TdmaMac, AcksJumpAheadOfDataBacklog) {
   // data packets is still transmitted in the node's next owned slot.
   Rig r;
   std::vector<bool> order;  // true = ack
-  r.macs[0]->set_deliver([&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
-    order.push_back(p->is_ack());
-  });
+  r.macs[0]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&& p, core::NodeId, core::NodeId) {
+        order.push_back(p->is_ack());
+      }));
   for (core::SeqNo s = 0; s < 20; ++s) r.macs[0]->enqueue(r.data(s), 1);
   core::PacketPtr ack = r.ack_packet();
   ack->src = 0;
@@ -254,7 +259,7 @@ TEST(TdmaMac, SeparateQueueCapacitiesForControlAndData) {
   MacConfig mc;
   mc.queue_capacity_packets = 2;
   Rig r(0.0, 2, mc);
-  r.macs[0]->set_deliver([](core::PacketPtr&&, core::NodeId, core::NodeId) {});
+  r.macs[0]->set_deliver(testing::land(r.sim, testing::discard));
   // Fill the data queue.
   for (core::SeqNo s = 0; s < 4; ++s) r.macs[0]->enqueue(r.data(s), 1);
   EXPECT_EQ(r.macs[0]->queue_drops(), 2u);
@@ -267,10 +272,10 @@ TEST(TdmaMac, SeparateQueueCapacitiesForControlAndData) {
 TEST(TdmaMac, TwoMacsShareTheMediumFairly) {
   Rig r(0.0, 2);
   int d0 = 0, d1 = 0;
-  r.macs[0]->set_deliver(
-      [&](core::PacketPtr&&, core::NodeId, core::NodeId) { ++d0; });
-  r.macs[1]->set_deliver(
-      [&](core::PacketPtr&&, core::NodeId, core::NodeId) { ++d1; });
+  r.macs[0]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&&, core::NodeId, core::NodeId) { ++d0; }));
+  r.macs[1]->set_deliver(testing::land(
+      r.sim, [&](core::PacketPtr&&, core::NodeId, core::NodeId) { ++d1; }));
   for (core::SeqNo s = 0; s < 40; ++s) {
     r.macs[0]->enqueue(r.data(s), 1);
     core::PacketPtr p = r.data(s);

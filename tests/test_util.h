@@ -1,5 +1,5 @@
-// Shared helpers for protocol endpoint tests: a capturing PacketSink and a
-// simulator-backed Env.
+// Shared helpers for protocol endpoint tests: a capturing PacketSink, a
+// simulator-backed Env, and a deliver hook for raw-MAC tests.
 #pragma once
 
 #include <utility>
@@ -8,6 +8,8 @@
 #include "core/env.h"
 #include "core/packet.h"
 #include "core/packet_pool.h"
+#include "core/types.h"
+#include "mac/mac.h"
 #include "net/sim_env.h"
 #include "sim/simulator.h"
 
@@ -45,5 +47,22 @@ struct SimHarness {
   net::SimEnv env{sim, pool};
   CaptureSink sink;
 };
+
+// For land(): a delivery the test does not inspect is freed on landing.
+inline void discard(core::PacketPtr&&, core::NodeId, core::NodeId) {}
+
+// A MAC deliver hook for tests that run MACs without a Network: calls
+// f(packet, from, to) when the packet lands, `delay_s` after the MAC
+// reports the success. Like Network, it leaves the sender's charges to
+// the MAC; unlike Network, it charges the receiver nothing.
+template <typename F>
+mac::DeliverHook land(sim::Simulator& sim, F f) {
+  return [&sim, f](double delay_s, core::PacketPtr&& p, core::NodeId from,
+                   core::NodeId to) {
+    sim.schedule(delay_s, [f, p = std::move(p), from, to]() mutable {
+      f(std::move(p), from, to);
+    });
+  };
+}
 
 }  // namespace jtp::testing

@@ -1,8 +1,8 @@
 // Tests for the polymorphic transport layer: the Proto enum helpers, the
-// TransportRegistry, Network::add_flow's unified FlowHandle, and the
-// protocol-parity contract — every registered transport runs the same
-// ScenarioSpec, and the unified accessors report exactly what the
-// concrete endpoints' own (pre-refactor) accessors report.
+// per-protocol hop policy and caching switch, Network::add_flow's unified
+// FlowHandle, and the protocol-parity contract — every protocol in
+// core::kAllProtos runs the same ScenarioSpec, and the unified accessors
+// report exactly what the concrete endpoints' own accessors report.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -22,58 +22,36 @@
 namespace jtp {
 namespace {
 
+using core::kAllProtos;
 using core::parse_proto;
 using core::Proto;
 using core::proto_name;
 using net::HopPolicy;
-using net::TransportRegistry;
 
 TEST(Proto, NamesRoundTrip) {
-  for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpDr, Proto::kBbr}) {
+  for (const Proto p : kAllProtos) {
     const auto back = parse_proto(proto_name(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
   }
+  EXPECT_EQ(parse_proto("jtp-dr"), Proto::kJtpDr);  // legacy spelling
   EXPECT_FALSE(parse_proto("").has_value());
   EXPECT_FALSE(parse_proto("JTP").has_value());  // names are lowercase
   EXPECT_FALSE(parse_proto("udp").has_value());
 }
 
-TEST(Registry, BuiltinsAreRegistered) {
-  auto& reg = TransportRegistry::instance();
-  for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpDr, Proto::kBbr})
-    EXPECT_TRUE(reg.registered(p)) << proto_name(p);
-  EXPECT_GE(reg.protos().size(), 6u);
-}
-
 TEST(Registry, HopPoliciesAndCachingMatchTheProtocols) {
-  auto& reg = TransportRegistry::instance();
-  EXPECT_EQ(reg.info(Proto::kJtp).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kJnc).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kTcp).hop_policy, HopPolicy::kPlain);
-  EXPECT_EQ(reg.info(Proto::kAtp).hop_policy, HopPolicy::kRateStamp);
+  EXPECT_EQ(net::hop_policy(Proto::kJtp), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kJnc), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kTcp), HopPolicy::kPlain);
+  EXPECT_EQ(net::hop_policy(Proto::kAtp), HopPolicy::kRateStamp);
   // The JTP variant keeps full in-network help; BBR rides the plain
   // TCP-style path.
-  EXPECT_EQ(reg.info(Proto::kJtpDr).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kBbr).hop_policy, HopPolicy::kPlain);
-  EXPECT_TRUE(reg.caching_enabled(Proto::kJtp));
-  EXPECT_FALSE(reg.caching_enabled(Proto::kJnc));
-  EXPECT_TRUE(reg.caching_enabled(Proto::kJtpDr));
-}
-
-TEST(Registry, DuplicateRegistrationThrows) {
-  auto& reg = TransportRegistry::instance();
-  net::TransportInfo dup = reg.info(Proto::kJtp);
-  EXPECT_THROW(reg.add(std::move(dup)), std::invalid_argument);
-}
-
-TEST(Registry, NullFactoryThrows) {
-  net::TransportInfo bad;
-  bad.factory = nullptr;
-  EXPECT_THROW(TransportRegistry::instance().add(std::move(bad)),
-               std::invalid_argument);
+  EXPECT_EQ(net::hop_policy(Proto::kJtpDr), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kBbr), HopPolicy::kPlain);
+  // Only JNC forbids in-network caching.
+  for (const Proto p : kAllProtos)
+    EXPECT_EQ(net::caching_allowed(p), p != Proto::kJnc) << proto_name(p);
 }
 
 TEST(FlowTable, DefaultsToIjtpPolicy) {
@@ -92,6 +70,9 @@ TEST(AddFlow, RejectsOutOfRangeEndpoints) {
     return sc;
   }());
   EXPECT_THROW(s.network->add_flow(Proto::kJtp, 0, 7),
+               std::invalid_argument);
+  // No route leads from a node to itself.
+  EXPECT_THROW(s.network->add_flow(Proto::kJtp, 1, 1),
                std::invalid_argument);
 }
 
@@ -117,7 +98,7 @@ TEST(AddFlow, HandleCarriesIdentityAndEndpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol parity: one ScenarioSpec, every registered transport.
+// Protocol parity: one ScenarioSpec, every transport.
 // ---------------------------------------------------------------------------
 
 exp::ScenarioSpec parity_spec(Proto proto) {
@@ -137,7 +118,7 @@ exp::ScenarioSpec parity_spec(Proto proto) {
 }
 
 TEST(ProtocolParity, EveryRegisteredProtoRunsTheSameSpec) {
-  for (const auto proto : TransportRegistry::instance().protos()) {
+  for (const Proto proto : kAllProtos) {
     auto s = exp::build(parity_spec(proto));
     s.network->run_until(1500.0);
     const auto& flow = *s.flows->flows().front();
@@ -196,7 +177,7 @@ TEST(ProtocolParity, AtpHandleMatchesConcreteAccessors) {
 // Pinned-seed determinism through the new dispatch path: two identical
 // builds produce bit-identical metrics for every protocol.
 TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
-  for (const auto proto : TransportRegistry::instance().protos()) {
+  for (const Proto proto : kAllProtos) {
     auto run = [&] {
       auto s = exp::build(parity_spec(proto));
       s.network->run_until(1500.0);
@@ -214,18 +195,12 @@ TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
   }
 }
 
-// --- the extension seam -----------------------------------------------------
+// --- the delivery-rate transports -----------------------------------------
 //
-// ROADMAP: "register an experimental protocol variant through the
-// registry to prove the extension seam". That proof has since been
-// promoted into the production registry twice over: kJtpDr (JTP's PI²/MD
-// fed by a sender-side delivery-rate estimate) and kBbr (model-based
-// pacing over the TCP-SACK feedback channel) each became a first-class
-// protocol through exactly one TransportRegistry::add() call in the
-// registry's own constructor — no edits to Network, Node, FlowManager,
-// or any existing factory. The tests below pin down that each variant
-// really is reachable through the same ScenarioSpec -> build() ->
-// Network::add_flow entry points as the original four, and that the
+// kJtpDr (JTP's PI²/MD fed by a sender-side delivery-rate estimate) and
+// kBbr (model-based pacing over the TCP-SACK feedback channel) reach the
+// network through the same ScenarioSpec -> build() -> Network::add_flow
+// entry points as the original four. The tests below pin that the
 // endpoints behind the unified FlowHandle are the expected concrete
 // types with the expected behavior.
 
