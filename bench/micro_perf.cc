@@ -398,33 +398,39 @@ void BM_TdmaSlotService(benchmark::State& state) {
 BENCHMARK(BM_TdmaSlotService)->Arg(20)->Arg(1000);
 
 // The spatial-reuse MAC's recolor cost: one full greedy 2-hop coloring of
-// a connected random field. This is the per-topology-change control-plane
-// price of slot reuse; grid-gathered candidates keep it near-linear in n.
+// a connected random field (args: n, reuse margin). This is the
+// per-topology-change control-plane price of slot reuse, and what a
+// static field pays once at setup: one grid query per node (two when the
+// margin widens the direct range) plus about deg² list reads per node.
 void BM_InterferenceColoring(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto margin = static_cast<double>(state.range(1));
   sim::Rng rng(7);
   auto topo = scale_field(n, rng);
   for (auto _ : state) {
-    const auto c = mac::color_interference(topo, 1.0);
+    const auto c = mac::color_interference(topo, margin);
     benchmark::DoNotOptimize(c.colors_used);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InterferenceColoring)
-    ->Arg(25)
-    ->Arg(400)
-    ->Arg(1000)
+    ->Args({25, 1})
+    ->Args({400, 1})
+    ->Args({1000, 1})
+    ->Args({1000, 2})
     ->Unit(benchmark::kMicrosecond);
 
-// What a tdma_reuse recolor costs under waypoint churn since recolors
-// became exact repairs: one node steps 1 m in a random direction, then
-// the coloring is repaired around it. Compare BM_InterferenceColoring at
-// the same n, the full pass every recolor used to pay.
+// What a tdma_reuse recolor costs under waypoint churn (args: n, reuse
+// margin): one node steps 1 m in a random direction, then the coloring is
+// repaired around it. Compare BM_InterferenceColoring at the same n and
+// margin, the full pass a recolor would cost without repair. Margin 2
+// also re-queries and patches the mover's within-2R list.
 void BM_InterferenceRepair(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto margin = static_cast<double>(state.range(1));
   sim::Rng rng(7);
   auto topo = scale_field(n, rng);
-  mac::InterferenceColoring coloring(topo, 1.0);
+  mac::InterferenceColoring coloring(topo, margin);
   auto mrng = rng.derive("moves");
   std::vector<core::NodeId> movers(1);
   core::NodeId mover = 0;
@@ -445,8 +451,9 @@ void BM_InterferenceRepair(benchmark::State& state) {
                             static_cast<double>(st.repairs);
 }
 BENCHMARK(BM_InterferenceRepair)
-    ->Arg(400)
-    ->Arg(1000)
+    ->Args({400, 1})
+    ->Args({1000, 1})
+    ->Args({1000, 2})
     ->Unit(benchmark::kMicrosecond);
 
 // One CSMA contention cycle end to end: enqueue on an idle 2-node rig,

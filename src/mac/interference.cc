@@ -1,100 +1,53 @@
 #include "mac/interference.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cassert>
 #include <functional>
+#include <iterator>
 
 namespace jtp::mac {
-
-namespace {
-
-// Cell key packing for the candidate grid, tolerant of negative
-// coordinates (mirrors phy::Topology's scheme: two offset 32-bit halves).
-std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
-  const auto ux = static_cast<std::uint64_t>(cx + 0x40000000LL);
-  const auto uy = static_cast<std::uint64_t>(cy + 0x40000000LL);
-  return (ux << 32) | (uy & 0xffffffffULL);
-}
-
-// Relative slack on reach-radius tests: distances are rounded, so a
-// hidden-terminal partner (two hops of at most R) can sit ulps past 2R.
-constexpr double kSlack = 1e-9;
-
-}  // namespace
 
 InterferenceColoring::InterferenceColoring(const phy::Topology& topo,
                                            double range_margin)
     : topo_(topo),
       r_(topo.radio_range()),
-      direct_(std::max(range_margin, 1.0) * r_),
-      reach_(std::max(direct_, 2.0 * r_)) {
+      direct_(std::max(range_margin, 1.0) * r_) {
   rebuild();
 }
 
-InterferenceColoring::CellKey InterferenceColoring::cell_of(
-    const phy::Position& p) const {
-  return pack_cell(static_cast<std::int64_t>(std::floor(p.x / reach_)),
-                   static_cast<std::int64_t>(std::floor(p.y / reach_)));
-}
-
-template <typename F>
-void InterferenceColoring::for_each_candidate(const phy::Position& p,
-                                              F&& f) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / reach_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / reach_));
-  for (std::int64_t dx = -1; dx <= 1; ++dx)
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      const auto it = cells_.find(pack_cell(cx + dx, cy + dy));
-      if (it == cells_.end()) continue;
-      for (const core::NodeId b : it->second) f(b);
-    }
-}
-
-template <typename F>
-void InterferenceColoring::for_each_candidate(const phy::Position& p,
-                                              const phy::Position& q,
-                                              F&& f) const {
-  for_each_candidate(p, f);
-  if (cell_of(q) != cell_of(p)) for_each_candidate(q, f);
-}
-
-bool InterferenceColoring::conflicts(core::NodeId a, core::NodeId b) const {
-  const double d = phy::distance(topo_.position(a), topo_.position(b));
-  if (d <= direct_) return true;
-  if (d > reach_ * (1.0 + kSlack)) return false;  // no witness can span it
-  for (const core::NodeId w : witnesses_)  // neighbors of a, within R
-    if (w != b && phy::distance(topo_.position(w), topo_.position(b)) <= r_)
-      return true;
-  return false;
-}
-
 std::uint32_t InterferenceColoring::smallest_free(core::NodeId a) {
-  topo_.neighbors_into(a, witnesses_);
   const std::uint64_t stamp = ++stamp_;  // "in use while coloring a"
-  for_each_candidate(topo_.position(a), [&](core::NodeId b) {
-    if (b >= a) return;  // greedy: only already-colored partners
-    if (!conflicts(a, b)) return;
-    const std::uint32_t c = out_.color[b];
-    if (c >= used_stamp_.size()) used_stamp_.resize(c + 1, 0);
-    used_stamp_[c] = stamp;
-  });
+  const auto mark_below_a = [&](const std::vector<core::NodeId>& list) {
+    for (const core::NodeId b : list) {
+      if (b >= a) break;  // greedy: only already-colored partners
+      used_stamp_[out_.color[b]] = stamp;
+    }
+  };
+  mark_below_a(direct(a));
+  for (const core::NodeId w : radio_[a]) mark_below_a(radio_[w]);
+  // At most n - 1 partners, so a free color exists below n + 1.
   std::uint32_t c = 0;
-  while (c < used_stamp_.size() && used_stamp_[c] == stamp) ++c;
+  while (used_stamp_[c] == stamp) ++c;
   return c;
 }
 
 void InterferenceColoring::rebuild() {
   ++stats_.rebuilds;
   const std::size_t n = topo_.size();
-  cells_.clear();
-  cells_.reserve(n);
-  cell_key_.resize(n);
-  snap_.resize(n);
-  for (core::NodeId id = 0; id < n; ++id) {
-    snap_[id] = topo_.position(id);
-    cell_key_[id] = cell_of(snap_[id]);
-    cells_[cell_key_[id]].push_back(id);
+  radio_.resize(n);
+  if (direct_ > r_) wide_.resize(n);
+  // Query into scratch, then copy: one right-sized allocation per list.
+  const auto fill = [this](core::NodeId v, double radius,
+                           std::vector<core::NodeId>& list) {
+    topo_.within_into(v, radius, fresh_);
+    list.assign(fresh_.begin(), fresh_.end());
+  };
+  for (core::NodeId v = 0; v < n; ++v) {
+    fill(v, r_, radio_[v]);
+    if (!wide_.empty()) fill(v, direct_, wide_[v]);
   }
+  used_stamp_.resize(n + 1, 0);
+  dirty_stamp_.resize(n, 0);
   out_.color.assign(n, 0);
   uses_.clear();
   for (core::NodeId a = 0; a < n; ++a) {
@@ -106,15 +59,23 @@ void InterferenceColoring::rebuild() {
   out_.colors_used = uses_.size();
 }
 
-bool InterferenceColoring::adjacency_changed(core::NodeId a,
-                                             core::NodeId b) const {
-  const auto adjacency = [this](const phy::Position& p,
-                                const phy::Position& q) {
-    const double d = phy::distance(p, q);
-    return (d <= r_ ? 1 : 0) | (d <= direct_ ? 2 : 0);
-  };
-  return adjacency(snap_[a], snap_[b]) !=
-         adjacency(topo_.position(a), topo_.position(b));
+void InterferenceColoring::requery(core::NodeId m, double radius,
+                                   Lists& lists) {
+  topo_.within_into(m, radius, fresh_);
+  changed_.clear();
+  std::set_symmetric_difference(lists[m].begin(), lists[m].end(),
+                                fresh_.begin(), fresh_.end(),
+                                std::back_inserter(changed_));
+  // Lists are symmetric: m's membership in v's list flips with v's in m's.
+  for (const core::NodeId v : changed_) {
+    auto& list = lists[v];
+    const auto it = std::lower_bound(list.begin(), list.end(), m);
+    if (it != list.end() && *it == m)
+      list.erase(it);
+    else
+      list.insert(it, m);
+  }
+  lists[m].swap(fresh_);
 }
 
 void InterferenceColoring::mark_dirty(core::NodeId id) {
@@ -124,54 +85,43 @@ void InterferenceColoring::mark_dirty(core::NodeId id) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
+void InterferenceColoring::mark_dirty(const std::vector<core::NodeId>& ids) {
+  for (const core::NodeId id : ids) mark_dirty(id);
+}
+
 void InterferenceColoring::update(const std::vector<core::NodeId>& movers) {
   ++stats_.repairs;
-  dirty_stamp_.resize(topo_.size(), 0);
 
-  // 1. File each mover under its new cell too, keeping the old entry until
-  //    seeding is done: a block scan then finds every node whose old *or*
-  //    new position lies in the block, movers included.
+  // 1. Re-query each mover, patch the lists its move changed, and seed the
+  //    dirty set: a changed margin·R edge (m, v) dirties m and v; a changed
+  //    radio edge also dirties their radio neighbors before and after (the
+  //    nodes that hold m or v as a witness). v's list before the patch is
+  //    its list after it plus or minus m, which is marked anyway.
   for (const core::NodeId m : movers) {
-    const CellKey to = cell_of(topo_.position(m));
-    if (to != cell_key_[m]) cells_[to].push_back(m);
-  }
-
-  // 2. Changed-edge filter, then seeds. An edge that existed before lies
-  //    in the block around the mover's old position, one that exists now
-  //    in the block around its new one. An edge-changing mover dirties
-  //    every node within reach of its old position in the old layout or
-  //    of its new position in the new one.
-  const double seed_reach = reach_ * (1.0 + kSlack);
-  for (const core::NodeId m : movers) {
-    const phy::Position& was = snap_[m];
-    const phy::Position& now = topo_.position(m);
-    bool changed = false;
-    for_each_candidate(was, now, [&](core::NodeId v) {
-      changed = changed || (v != m && adjacency_changed(m, v));
-    });
-    if (!changed) continue;
-    for_each_candidate(was, now, [&](core::NodeId x) {
-      if (phy::distance(snap_[x], was) <= seed_reach ||
-          phy::distance(topo_.position(x), now) <= seed_reach)
-        mark_dirty(x);
-    });
-  }
-
-  // 3. Drop the movers' old grid entries and refresh their snapshots.
-  for (const core::NodeId m : movers) {
-    const CellKey to = cell_of(topo_.position(m));
-    if (to != cell_key_[m]) {
-      auto& cell = cells_[cell_key_[m]];
-      *std::find(cell.begin(), cell.end(), m) = cell.back();
-      cell.pop_back();
-      cell_key_[m] = to;
+    if (!wide_.empty()) {
+      requery(m, direct_, wide_);
+      if (!changed_.empty()) {
+        mark_dirty(m);
+        mark_dirty(changed_);
+      }
     }
-    snap_[m] = topo_.position(m);
+    requery(m, r_, radio_);
+    if (changed_.empty()) continue;
+    mark_dirty(m);
+    mark_dirty(fresh_);      // m's radio neighbors before the move ...
+    mark_dirty(radio_[m]);   // ... and after it (v itself is in one)
+    for (const core::NodeId v : changed_) mark_dirty(radio_[v]);
   }
 
-  // 4. Recompute dirty nodes in ascending id order. A node whose color
+  // 2. Recompute dirty nodes in ascending id order. A node whose color
   //    changed dirties its higher-id partners, whose smallest free color
   //    may have moved with it.
+  const auto dirty_above = [this](core::NodeId a,
+                                  const std::vector<core::NodeId>& list) {
+    for (auto it = std::upper_bound(list.begin(), list.end(), a);
+         it != list.end(); ++it)
+      mark_dirty(*it);
+  };
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const core::NodeId a = heap_.back();
@@ -184,13 +134,30 @@ void InterferenceColoring::update(const std::vector<core::NodeId>& movers) {
     --uses_[was];
     if (c >= uses_.size()) uses_.resize(c + 1, 0);
     ++uses_[c];
-    for_each_candidate(topo_.position(a), [&](core::NodeId b) {
-      if (b > a && conflicts(a, b)) mark_dirty(b);
-    });
+    dirty_above(a, direct(a));
+    for (const core::NodeId w : radio_[a]) dirty_above(a, radio_[w]);
   }
   while (!uses_.empty() && uses_.back() == 0) uses_.pop_back();
   out_.colors_used = uses_.size();
+  assert(lists_match_topology());
 }
+
+#ifndef NDEBUG
+bool InterferenceColoring::lists_match_topology() const {
+  std::vector<core::NodeId> fresh;
+  const auto matches = [&](const Lists& lists, double radius) {
+    for (core::NodeId v = 0; v < lists.size(); ++v) {
+      topo_.within_into(v, radius, fresh);
+      if (fresh != lists[v]) return false;
+      for (const core::NodeId u : lists[v])
+        if (!std::binary_search(lists[u].begin(), lists[u].end(), v))
+          return false;
+    }
+    return true;
+  };
+  return matches(radio_, r_) && matches(wide_, direct_);
+}
+#endif
 
 Coloring color_interference(const phy::Topology& topo, double range_margin) {
   return InterferenceColoring(topo, range_margin).coloring();

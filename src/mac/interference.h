@@ -13,25 +13,35 @@
 // witness) cannot be in range of b, so the reception is clean.
 //
 // Greedy in node-id order (smallest free color) is deterministic and uses
-// at most Δ+1 colors; candidate conflicts are gathered from a uniform
-// spatial grid, so a recolor costs O(n · local density²), not O(n²).
+// at most Δ+1 colors.
 //
-// InterferenceColoring keeps that coloring in step with a moving field,
-// and update() repairs it *exactly*: afterwards it holds the coloring a
-// from-scratch pass over the current positions produces. A node's greedy
-// color depends only on its lower-id conflict partners and their colors,
-// and ids are finalized in ascending order. So repair recomputes, in
-// ascending id order, every node whose partner set may have changed, plus
-// the higher-id partners of each node whose color changed. Conflict is a
-// pure function of the R and margin·R disk graphs, so a mover whose
-// adjacency at both radii is unchanged cannot change any partner set: it
-// only refreshes its snapshot. The partner sets that can change are those
-// of nodes within max(margin·R, 2R) of an edge-changing mover's old or
-// new position.
+// InterferenceColoring reads the conflict relation from per-node lists
+// instead of geometry. It keeps each node's ascending radio-neighbor list
+// N(v) (within R) at the positions of the last coloring and, only when
+// margin > 1, its within-margin·R list W(v). a's conflict partners are
+// then W(a) (or N(a)) plus N(w) for every w in N(a), minus a itself: the
+// greedy step reads about deg² list entries and computes no distance.
+// rebuild() fills each list with one Topology::within_into query, so a
+// from-scratch pass costs n grid queries per kept radius plus n·deg² reads.
+//
+// update() keeps that coloring in step with a moving field and repairs it
+// *exactly*: afterwards it holds the coloring a from-scratch pass over the
+// current positions produces. It re-queries only the movers and patches
+// the lists of the nodes that entered or left a mover's list. A partner
+// set can change only through a changed list edge (m, v): at m and v
+// themselves, and — for a radio edge — at every x holding m or v as a
+// witness, i.e. the radio neighbors of m and v (an x whose own edge to
+// them changed is an endpoint of that edge). So each changed radio edge
+// dirties m, v and both radio lists before and after the patch; a change
+// at margin·R alone dirties only m and v. A node's greedy color depends
+// only on its lower-id partners and their colors, and ids are finalized in
+// ascending order, so the repair recomputes dirty nodes in ascending id
+// order and dirties the higher-id partners (walked from the lists) of
+// each node whose color changed. A mover whose lists did not change costs
+// its grid queries and nothing else.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "phy/topology.h"
@@ -68,39 +78,36 @@ class InterferenceColoring {
   void update(const std::vector<core::NodeId>& movers);
 
  private:
-  using CellKey = std::uint64_t;
-  CellKey cell_of(const phy::Position& p) const;
+  using Lists = std::vector<std::vector<core::NodeId>>;
 
-  // Calls f(b) for every node filed in the 3x3 cell block around p.
-  template <typename F>
-  void for_each_candidate(const phy::Position& p, F&& f) const;
-  // ... in the blocks around p and q (a node may be visited twice).
-  template <typename F>
-  void for_each_candidate(const phy::Position& p, const phy::Position& q,
-                          F&& f) const;
+  // The direct-conflict list: W(a) when margin > 1, else N(a).
+  const std::vector<core::NodeId>& direct(core::NodeId a) const {
+    return wide_.empty() ? radio_[a] : wide_[a];
+  }
 
   // The greedy loop body: the smallest color no lower-id conflict partner
-  // of `a` holds. Leaves a's radio neighbors in witnesses_ for conflicts().
+  // of `a` holds.
   std::uint32_t smallest_free(core::NodeId a);
-  bool conflicts(core::NodeId a, core::NodeId b) const;
 
-  // Whether a and b's adjacency at R or margin·R differs between their
-  // snapshot positions and their current ones.
-  bool adjacency_changed(core::NodeId a, core::NodeId b) const;
+  // Re-queries mover m's list in `lists` at `radius` and patches the lists
+  // of the nodes that entered or left it. Leaves those nodes in changed_
+  // and m's previous list in fresh_.
+  void requery(core::NodeId m, double radius, Lists& lists);
   void mark_dirty(core::NodeId id);
+  void mark_dirty(const std::vector<core::NodeId>& ids);
+
+#ifndef NDEBUG
+  // Whether every list equals Topology::within_into at the current
+  // positions and every edge is filed at both ends.
+  bool lists_match_topology() const;
+#endif
 
   const phy::Topology& topo_;
   double r_;       // radio range
   double direct_;  // max(margin, 1)·R
-  // Grid cell side. Every conflict partner lies within max(direct, 2R):
-  // direct conflicts by definition, hidden-terminal conflicts via a common
-  // witness within R of both ends. So the 3x3 block around a node is a
-  // complete candidate superset.
-  double reach_;
 
-  std::unordered_map<CellKey, std::vector<core::NodeId>> cells_;
-  std::vector<CellKey> cell_key_;    // per node: the cell it is filed under
-  std::vector<phy::Position> snap_;  // per node: position when last colored
+  Lists radio_;  // per node: N(v), ascending
+  Lists wide_;   // per node: W(v), ascending; empty unless margin > 1
   std::vector<std::uint32_t> uses_;  // per color: nodes holding it
   Coloring out_;
   ColoringStats stats_;
@@ -109,7 +116,8 @@ class InterferenceColoring {
   // stamp per loop-body call, dirty marks the repair count.
   std::vector<std::uint64_t> used_stamp_;
   std::uint64_t stamp_ = 0;
-  std::vector<core::NodeId> witnesses_;
+  std::vector<core::NodeId> fresh_;
+  std::vector<core::NodeId> changed_;
   std::vector<std::uint64_t> dirty_stamp_;
   std::vector<core::NodeId> heap_;  // dirty nodes, min-heap by id
 };

@@ -12,10 +12,14 @@
 // under mobility a recolor happens at most once per position change, and
 // only when the MAC actually consults the schedule. A recolor is an exact
 // repair around the nodes Topology::moved_since names (see
-// InterferenceColoring), so the schedule is always the one a from-scratch
-// coloring would give; only a window that outran the move ring pays a
-// full pass. The slot permutation over colors reuses TdmaSchedule, seeded
-// like the classic schedule so runs stay deterministic across recolors.
+// InterferenceColoring): it re-queries the movers' neighbor lists,
+// patches the lists they changed, and recolors the nodes whose conflict
+// partners may have changed, reading partners from the lists at about
+// deg² reads per recomputed node. So the schedule is always the one a
+// from-scratch coloring would give; only a window that outran the move
+// ring pays a full pass. The slot permutation over colors reuses
+// TdmaSchedule, seeded like the classic schedule so runs stay
+// deterministic across recolors.
 // MacStats is the observable contract: recolors, colors_used, max_color,
 // reuse_factor.
 #pragma once

@@ -82,21 +82,27 @@ bool Topology::in_range(core::NodeId a, core::NodeId b) const {
   return distance(pos_.at(a), pos_.at(b)) <= range_;
 }
 
-void Topology::neighbors_into(core::NodeId id,
-                              std::vector<core::NodeId>& out) const {
+void Topology::within_into(core::NodeId id, double radius,
+                           std::vector<core::NodeId>& out) const {
   out.clear();
   const Position& p = pos_.at(id);
+  const auto k = static_cast<std::int64_t>(std::ceil(radius / range_));
   const auto cx = static_cast<std::int64_t>(std::floor(p.x / range_));
   const auto cy = static_cast<std::int64_t>(std::floor(p.y / range_));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
+  for (std::int64_t dx = -k; dx <= k; ++dx) {
+    for (std::int64_t dy = -k; dy <= k; ++dy) {
       const auto it = cells_.find(pack_cell(cx + dx, cy + dy));
       if (it == cells_.end()) continue;
       for (const core::NodeId j : it->second)
-        if (j != id && distance(p, pos_[j]) <= range_) out.push_back(j);
+        if (j != id && distance(p, pos_[j]) <= radius) out.push_back(j);
     }
   }
   std::sort(out.begin(), out.end());
+}
+
+void Topology::neighbors_into(core::NodeId id,
+                              std::vector<core::NodeId>& out) const {
+  within_into(id, range_, out);
 }
 
 std::vector<core::NodeId> Topology::neighbors(core::NodeId id) const {

@@ -10,8 +10,8 @@
 // per node instead of a full scan — the difference between paper-scale
 // (n ~ 25) and production-scale (n ~ 1000) control planes. set_position
 // updates the index incrementally and bumps a generation counter that
-// consumers (the routing view) use to detect "topology unchanged" without
-// comparing positions.
+// consumers (the routing view, the reuse schedule) use to detect
+// "topology unchanged" without comparing positions.
 #pragma once
 
 #include <cstddef>
@@ -65,11 +65,17 @@ class Topology {
   std::vector<core::NodeId> neighbors(core::NodeId id) const;
 
   // Allocation-free variant for per-node loops (the routing view's
-  // adjacency snapshot, interference witnesses, connected()): clears `out`
-  // and fills it with the in-range ids in ascending order — the same order
-  // the full-scan implementation produced, which the routing tie-breaks
-  // (and therefore the committed baselines) depend on.
+  // adjacency snapshot, connected()): clears `out` and fills it with the
+  // in-range ids in ascending order — the same order the full-scan
+  // implementation produced, which the routing tie-breaks (and therefore
+  // the committed baselines) depend on. The radius-R case of within_into.
   void neighbors_into(core::NodeId id, std::vector<core::NodeId>& out) const;
+
+  // Clears `out` and fills it with every other node within `radius` of
+  // `id` (inclusive), ascending. Scans the (2k+1)^2 cell block around the
+  // node, k = ceil(radius / R): the 3x3 block at radius R.
+  void within_into(core::NodeId id, double radius,
+                   std::vector<core::NodeId>& out) const;
 
   // True if the range graph is a single connected component.
   bool connected() const;

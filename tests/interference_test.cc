@@ -8,11 +8,16 @@
 // analytic extremes — a clique needs n colors (reuse factor exactly 1)
 // and a sparse chain needs exactly 3 (reuse > 1).
 //
+// The from-scratch pass reads conflicts from neighbor lists, so it is
+// itself checked, color for color, against a greedy pass over the
+// geometric conflict definition (greedy_bf).
+//
 // The InterferenceRepair suite pins the incremental path's exactness:
 // after every batch of moves the repaired coloring must equal a
 // from-scratch pass, color for color (small steps, cross-field teleports,
 // negative coordinates, whole-field batches, move-ring overflow, and a
-// random-waypoint-driven schedule).
+// random-waypoint-driven schedule). In assertion builds every repair also
+// checks its lists against Topology::within_into.
 #include "mac/interference.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +72,60 @@ phy::Topology random_field(std::size_t n, double side, std::uint64_t seed) {
   sim::Rng rng(seed);
   auto prng = rng.derive("placement");
   return phy::Topology::random_connected(n, side, 40.0, prng);
+}
+
+// n nodes uniform in a side x side square with its lower-left corner at
+// (origin, origin); no connectivity requirement, so sparse corners and
+// isolated nodes are part of the mix.
+phy::Topology scatter(std::size_t n, double side, double origin,
+                      std::uint64_t seed) {
+  phy::Topology topo(n, 40.0);
+  sim::Rng rng(seed);
+  for (core::NodeId i = 0; i < n; ++i)
+    topo.set_position(i, {origin + rng.uniform(0.0, side),
+                          origin + rng.uniform(0.0, side)});
+  return topo;
+}
+
+// The greedy pass from geometry alone: ascending ids, each node taking the
+// smallest color no lower-id conflicts_bf partner holds.
+Coloring greedy_bf(const phy::Topology& topo, double margin) {
+  Coloring c;
+  c.color.assign(topo.size(), 0);
+  for (core::NodeId a = 0; a < topo.size(); ++a) {
+    std::vector<bool> taken(topo.size() + 1, false);
+    for (core::NodeId b = 0; b < a; ++b)
+      if (conflicts_bf(topo, a, b, margin)) taken[c.color[b]] = true;
+    while (taken[c.color[a]]) ++c.color[a];
+    c.colors_used = std::max<std::size_t>(c.colors_used, c.color[a] + 1);
+  }
+  return c;
+}
+
+TEST(InterferenceColoring, MatchesGeometricGreedyReference) {
+  // The list-driven pass must color exactly like the greedy over the
+  // geometric conflict definition: connected fields, a field straddling
+  // the origin, and a sparse field in negative coordinates with isolated
+  // nodes, at every margin up to the parser's maximum.
+  const std::vector<phy::Topology> layouts = {
+      random_field(60, 250.0, 7), scatter(150, 400.0, -200.0, 3),
+      scatter(80, 600.0, -900.0, 5)};
+  std::vector<core::NodeId> nbrs;
+  std::size_t isolated = 0;
+  for (core::NodeId i = 0; i < layouts[2].size(); ++i) {
+    layouts[2].neighbors_into(i, nbrs);
+    isolated += nbrs.empty() ? 1 : 0;
+  }
+  ASSERT_GT(isolated, 0u);
+  for (const double margin : {1.0, 1.5, 2.0, 4.0})
+    for (std::size_t k = 0; k < layouts.size(); ++k) {
+      SCOPED_TRACE(::testing::Message()
+                   << "layout " << k << " margin " << margin);
+      const Coloring want = greedy_bf(layouts[k], margin);
+      const Coloring got = color_interference(layouts[k], margin);
+      EXPECT_EQ(got.color, want.color);
+      EXPECT_EQ(got.colors_used, want.colors_used);
+    }
 }
 
 TEST(InterferenceColoring, SafeOnRandomFields) {
@@ -210,19 +269,6 @@ TEST(ReuseSchedule, OwnedSlotsFollowColors) {
   return ::testing::AssertionSuccess();
 }
 
-// n nodes uniform in a side x side square with its lower-left corner at
-// (origin, origin); no connectivity requirement, so sparse corners and
-// isolated nodes are part of the mix.
-phy::Topology scatter(std::size_t n, double side, double origin,
-                      std::uint64_t seed) {
-  phy::Topology topo(n, 40.0);
-  sim::Rng rng(seed);
-  for (core::NodeId i = 0; i < n; ++i)
-    topo.set_position(i, {origin + rng.uniform(0.0, side),
-                          origin + rng.uniform(0.0, side)});
-  return topo;
-}
-
 enum class Move { kStep, kTeleport };
 
 // For every margin and batch size: `rounds` batches of random moves (a
@@ -230,7 +276,7 @@ enum class Move { kStep, kTeleport };
 // followed by a repair over the move ring's movers and the oracle check.
 void churn_against_scratch(std::size_t n, double side, double origin,
                            Move kind) {
-  for (const double margin : {1.0, 1.5, 2.0})
+  for (const double margin : {1.0, 1.5, 2.0, 4.0})
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8}, n}) {
       SCOPED_TRACE(::testing::Message()
                    << "n=" << n << " margin=" << margin << " batch=" << batch);

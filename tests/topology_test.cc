@@ -93,26 +93,49 @@ std::vector<core::NodeId> brute_force_neighbors(const Topology& t,
   return out;
 }
 
+// Every other node within `radius` of `id`, ascending, by a full scan.
+std::vector<core::NodeId> brute_force_within(const Topology& t,
+                                             core::NodeId id, double radius) {
+  std::vector<core::NodeId> out;
+  for (core::NodeId j = 0; j < t.size(); ++j)
+    if (j != id && distance(t.position(id), t.position(j)) <= radius)
+      out.push_back(j);
+  return out;
+}
+
 void expect_index_matches_brute_force(const Topology& t,
                                       const char* context) {
   std::vector<core::NodeId> scratch;
+  std::vector<core::NodeId> within;
   for (core::NodeId i = 0; i < t.size(); ++i) {
     EXPECT_EQ(t.neighbors(i), brute_force_neighbors(t, i))
         << context << ": node " << i;
     t.neighbors_into(i, scratch);
     EXPECT_EQ(scratch, brute_force_neighbors(t, i))
         << context << " (into): node " << i;
+    // Wider radii scan wider cell blocks (5x5 at 1.5R and 2R, 9x9 at 4R).
+    for (const double k : {1.0, 1.5, 2.0, 4.0}) {
+      t.within_into(i, k * t.radio_range(), within);
+      EXPECT_EQ(within, brute_force_within(t, i, k * t.radio_range()))
+          << context << " (within " << k << "R): node " << i;
+    }
+    t.within_into(i, t.radio_range(), within);
+    EXPECT_EQ(scratch, within) << context << " (within R): node " << i;
   }
 }
 
 TEST(TopologyGridIndex, NeighborsMatchBruteForceOnRandomFields) {
   sim::Rng rng(42);
   for (const std::size_t n : {2u, 7u, 40u, 150u}) {
-    Topology t(n, 40.0);
     const double side = 40.0 * std::sqrt(static_cast<double>(n));
-    for (core::NodeId i = 0; i < n; ++i)
-      t.set_position(i, {rng.uniform(0.0, side), rng.uniform(0.0, side)});
-    expect_index_matches_brute_force(t, "fresh placement");
+    // A field in the first quadrant, and one straddling the origin.
+    for (const double origin : {0.0, -side / 2}) {
+      Topology t(n, 40.0);
+      for (core::NodeId i = 0; i < n; ++i)
+        t.set_position(i, {origin + rng.uniform(0.0, side),
+                           origin + rng.uniform(0.0, side)});
+      expect_index_matches_brute_force(t, "fresh placement");
+    }
   }
 }
 
