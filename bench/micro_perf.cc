@@ -286,8 +286,9 @@ BENCHMARK(BM_BbrStateMachine);
 // (paper, n=25) and production (n=400, 1000) scales. BM_RoutingRefresh
 // models the control-plane work of a mobile scenario, one refresh per
 // move: one node moves, the view re-snapshots its adjacency lists, and
-// the handful of sources with live flows rebuild their rows to look up
-// their next hops.
+// lookups toward a handful of live flow endpoints rebuild those
+// destinations' rows. Rows are keyed by destination, so the 8 lookups
+// go to 8 distinct destinations: 8 BFS rows per iteration.
 // ---------------------------------------------------------------------------
 
 phy::Topology scale_field(std::size_t n, sim::Rng& rng) {
@@ -323,8 +324,8 @@ void BM_RoutingRefresh(benchmark::State& state) {
                               p.y + mrng.uniform(-1.0, 1.0)});
     mover = static_cast<core::NodeId>(1 + (mover % (n - 1)));
     r.refresh();
-    for (core::NodeId s = 1; s <= 8 && s < n; ++s)
-      benchmark::DoNotOptimize(r.next_hop(s, 0));
+    for (core::NodeId d = 1; d <= 8 && d < n; ++d)
+      benchmark::DoNotOptimize(r.next_hop(0, d));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -15,8 +15,9 @@
 //
 // A second leg re-runs every MAC under 1 m/s random waypoint (the
 // scale_mobile preset) and reports the routing view's churn cost: every
-// changed topology generation invalidates the cached rows, so rows_built
-// tracks (nodes on live paths) x (snapshots that saw a move). Add
+// changed topology generation invalidates the cached rows, and rows are
+// keyed by destination, so rows_built tracks (live flow endpoints) x
+// (snapshots that saw a move). Add
 // speed=1 via --scenario to make the *main* sweep mobile instead (the
 // extra leg then drops out), or workload=on_off,transfer=50 for bursty
 // sources.
@@ -295,10 +296,11 @@ int main(int argc, char** argv) {
       "expected shape: under mac=tdma, colors == n and per-flow delivery\n"
       "collapses as 1/(n*slot); under mac=tdma_reuse, colors tracks local\n"
       "density (reuse = n/colors grows with n), so aggregate pkts keeps\n"
-      "growing with field area. rows_built stays near (sources on live\n"
-      "paths) x (snapshots); the pool high-water marks grow with flows,\n"
-      "not with net_size. In the mobile leg every refresh sees a moved\n"
-      "field, so rows_built grows with the refresh count rather than\n"
-      "staying flat.\n");
+      "growing with field area. rows_built stays near (live flow\n"
+      "endpoints) x (snapshots): one row per destination serves every\n"
+      "relay toward it; the pool high-water marks grow with flows, not\n"
+      "with net_size. In the mobile leg every refresh sees a moved field,\n"
+      "so rows_built grows with the refresh count rather than staying\n"
+      "flat.\n");
   return 0;
 }

@@ -62,85 +62,82 @@ void LinkStateRouting::sync_view() const {
   ++epoch_;  // invalidates every row without touching them
 }
 
-void LinkStateRouting::maybe_oracle_refresh() const {
-  if (!cfg_.oracle) return;
-  if (topo_.generation() == snapshot_gen_) {
-    ++stats_.oracle_skips;  // unchanged topology: nothing to recompute
-    return;
-  }
-  ++stats_.refreshes;
-  sync_view();
-}
-
-void LinkStateRouting::ensure_row(core::NodeId s) const {
-  if (row_epoch_[s] == epoch_) {
+void LinkStateRouting::ensure_row(core::NodeId d) const {
+  if (row_epoch_[d] == epoch_) {
     ++stats_.row_reuses;
     return;
   }
   const std::size_t n = topo_.size();
-  int* dist = dist_.get() + static_cast<std::size_t>(s) * n;
-  core::NodeId* next = next_.get() + static_cast<std::size_t>(s) * n;
-  for (std::size_t d = 0; d < n; ++d) {
-    dist[d] = kUnreachable;
-    next[d] = core::kInvalidNode;
+  int* dist = dist_.get() + static_cast<std::size_t>(d) * n;
+  core::NodeId* next = next_.get() + static_cast<std::size_t>(d) * n;
+  for (std::size_t v = 0; v < n; ++v) {
+    dist[v] = kUnreachable;
+    next[v] = core::kInvalidNode;
   }
-  // BFS over the snapshot's unit-cost range graph, carrying the first hop
-  // forward: next[v] inherits next[u] (or v itself when u is the source),
-  // which walks out to the same first hop the old parent-chain walk found.
-  dist[s] = 0;
+  // BFS from d over the snapshot's unit-cost range graph. Every neighbor u
+  // of v one level closer to d is a next hop on some shortest path; v
+  // keeps the smallest id. That is what a per-source BFS over ascending
+  // lists answers too: its first-hop labels never decrease along a queue
+  // level, so each node inherits the smallest first hop over all of its
+  // shortest paths, and the range graph is symmetric.
+  dist[d] = 0;
   bfs_queue_.clear();
-  bfs_queue_.push_back(s);
+  bfs_queue_.push_back(d);
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const core::NodeId u = bfs_queue_[head];
+    const int level = dist[u] + 1;
     for (std::size_t k = adj_off_[u]; k < adj_off_[u + 1]; ++k) {
       const core::NodeId v = adj_[k];
-      if (dist[v] != kUnreachable) continue;
-      dist[v] = dist[u] + 1;
-      next[v] = (u == s) ? v : next[u];
-      bfs_queue_.push_back(v);
+      if (dist[v] == kUnreachable) {
+        dist[v] = level;
+        next[v] = u;
+        bfs_queue_.push_back(v);
+      } else {
+        // A select, not a branch: whether u is a second parent of v
+        // turns on data, and as a branch it mispredicts often enough to
+        // make the row ~40% dearer.
+        const core::NodeId kept = next[v];
+        next[v] = (dist[v] == level) & (u < kept) ? u : kept;
+      }
     }
   }
-  row_epoch_[s] = epoch_;
+  row_epoch_[d] = epoch_;
   ++stats_.rows_built;
 }
 
 std::optional<core::NodeId> LinkStateRouting::next_hop(core::NodeId at,
                                                        core::NodeId dst) const {
-  maybe_oracle_refresh();
   const std::size_t n = topo_.size();
   if (at >= n || dst >= n) return std::nullopt;
   if (at == dst) return std::nullopt;
-  ensure_row(at);
-  const core::NodeId h = next_[static_cast<std::size_t>(at) * n + dst];
+  ensure_row(dst);
+  const core::NodeId h = next_[static_cast<std::size_t>(dst) * n + at];
   if (h == core::kInvalidNode) return std::nullopt;
   return h;
 }
 
 std::optional<int> LinkStateRouting::hops(core::NodeId at,
                                           core::NodeId dst) const {
-  maybe_oracle_refresh();
   const std::size_t n = topo_.size();
   if (at >= n || dst >= n) return std::nullopt;
-  ensure_row(at);
-  const int d = dist_[static_cast<std::size_t>(at) * n + dst];
+  ensure_row(dst);
+  const int d = dist_[static_cast<std::size_t>(dst) * n + at];
   if (d == kUnreachable) return std::nullopt;
   return d;
 }
 
 std::optional<std::vector<core::NodeId>> LinkStateRouting::path(
     core::NodeId src, core::NodeId dst) const {
-  maybe_oracle_refresh();
   const std::size_t n = topo_.size();
   if (src >= n || dst >= n) return std::nullopt;
+  ensure_row(dst);
+  const core::NodeId* next = next_.get() + static_cast<std::size_t>(dst) * n;
   std::vector<core::NodeId> p{src};
-  core::NodeId cur = src;
-  while (cur != dst) {
-    ensure_row(cur);
-    const core::NodeId h = next_[static_cast<std::size_t>(cur) * n + dst];
+  // Each hop is one level closer to dst, so the walk ends.
+  while (p.back() != dst) {
+    const core::NodeId h = next[p.back()];
     if (h == core::kInvalidNode) return std::nullopt;
     p.push_back(h);
-    cur = h;
-    if (p.size() > n) return std::nullopt;  // defensive: loop
   }
   return p;
 }

@@ -18,16 +18,17 @@
 // Scale model: a refresh that sees a new topology generation snapshots
 // the range graph as flat adjacency lists — one grid neighbor query per
 // node, O(n + edges) — not an all-pairs recompute. Shortest-path rows are
-// flat, contiguous and per-source, built lazily the first time a source is
-// queried against the current snapshot by a BFS over those lists, and kept
-// until the snapshot actually changes (tracked by the topology's
-// generation counter). A static 1000-node field therefore pays BFS only
-// for sources that carry flows, and pays it once — refreshes and oracle
-// queries on an unchanged topology are no-ops. RoutingStats is the
-// observable contract for that claim, mirroring sim::PoolStats for the
-// data-plane pools. Any change of topology generation re-snapshots the
-// view and invalidates every row at once (an epoch bump); the rows the
-// queries still need are rebuilt lazily, one BFS each.
+// flat, contiguous and keyed by *destination*: one BFS rooted at d,
+// built lazily the first time any node asks for a route toward d against
+// the current snapshot, answers every relay on every path toward d. A
+// row is kept until the snapshot actually changes (tracked by the
+// topology's generation counter), so a static 1000-node field pays a BFS
+// only for the endpoints of live flows, and pays it once — refreshes on
+// an unchanged topology are no-ops. RoutingStats is the observable
+// contract for that claim, mirroring sim::PoolStats for the data-plane
+// pools. Any change of topology generation re-snapshots the view and
+// invalidates every row at once (an epoch bump); the rows the queries
+// still need are rebuilt lazily, one BFS each.
 #pragma once
 
 #include <cstdint>
@@ -43,20 +44,17 @@ namespace jtp::routing {
 
 struct RoutingConfig {
   double refresh_interval_s = 5.0;  // staleness bound of the view
-  bool oracle = false;              // true => view synced before every query
 };
 
 // Control-plane work accounting. In steady state on a static topology,
 // `snapshots` and `rows_built` stop moving while `row_reuses` keeps
 // counting — a growing `rows_built` under an unchanged topology means
-// some path recomputes needlessly (the pre-PR5 oracle bug).
+// some path recomputes needlessly.
 struct RoutingStats {
-  std::uint64_t refreshes = 0;     // view syncs (periodic + forced + ctor)
-  std::uint64_t snapshots = 0;     // syncs that saw a new topology generation
-  std::uint64_t rows_built = 0;    // per-source BFS row computations
-  std::uint64_t row_reuses = 0;    // queries served from an existing row
-  std::uint64_t oracle_skips = 0;  // oracle syncs skipped: generation
-                                   // unchanged since the current snapshot
+  std::uint64_t refreshes = 0;   // view syncs (periodic + forced + ctor)
+  std::uint64_t snapshots = 0;   // syncs that saw a new topology generation
+  std::uint64_t rows_built = 0;  // per-destination BFS row computations
+  std::uint64_t row_reuses = 0;  // queries served from an existing row
 };
 
 class LinkStateRouting {
@@ -67,8 +65,8 @@ class LinkStateRouting {
   // Starts periodic snapshot refreshes.
   void start();
 
-  // Syncs the view to the live topology (tests, oracle mode, mobility
-  // hooks). Cheap when the topology generation has not changed.
+  // Syncs the view to the live topology (tests, mobility hooks). Cheap
+  // when the topology generation has not changed.
   void refresh();
 
   // Next hop from `at` toward `dst` per `at`'s current view.
@@ -88,16 +86,15 @@ class LinkStateRouting {
   const RoutingConfig& config() const { return cfg_; }
 
  private:
-  void maybe_oracle_refresh() const;
   // Rebuilds the adjacency lists from the live topology and records its
   // generation.
   void snapshot() const;
   // Re-snapshots the view and bumps the epoch when the topology
   // generation moved; a no-op otherwise.
   void sync_view() const;
-  // Builds the dist/next row for source `s` against the snapshot if it is
-  // not already valid for the current view epoch.
-  void ensure_row(core::NodeId s) const;
+  // Builds the dist/next row toward destination `d` against the snapshot
+  // if it is not already valid for the current view epoch.
+  void ensure_row(core::NodeId d) const;
 
   sim::Simulator& sim_;
   const phy::Topology& topo_;
@@ -106,21 +103,21 @@ class LinkStateRouting {
   // The view: the range graph as of the last refresh that observed a
   // change, as flat adjacency lists (CSR): the neighbors of u are
   // adj_[adj_off_[u] .. adj_off_[u + 1]), in the ascending order
-  // Topology::neighbors_into returns, which the BFS tie-breaks (and so
-  // every route) depend on. The lists are built when the view syncs, never
-  // at first query: queries never touch the live topology, so lazy row
-  // builds see exactly what an eager refresh-time recompute would have
-  // seen.
+  // Topology::neighbors_into returns. The lists are built when the view
+  // syncs, never at first query: queries never touch the live topology,
+  // so lazy row builds see exactly what an eager refresh-time recompute
+  // would have seen.
   mutable std::vector<std::size_t> adj_off_;  // n + 1 offsets into adj_
   mutable std::vector<core::NodeId> adj_;
   mutable std::uint64_t snapshot_gen_ = 0;
 
-  // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
-  // on a shortest path. A row is valid iff row_epoch_[s] == epoch_. The
-  // planes are allocated without a fill: ensure_row writes a whole row
-  // before any read of it, and row_epoch_ gates every read, so only the
-  // rows of queried sources ever become resident (the planes are 8 MB at
-  // n=1000, per shard).
+  // Flat n*n rows keyed by destination: dist_[d*n + v] = hops from v to d,
+  // next_[d*n + v] = the smallest-id neighbor of v one hop closer to d. A
+  // row is valid iff row_epoch_[d] == epoch_. The planes are allocated
+  // without a fill: ensure_row writes a whole row before any read of it,
+  // and row_epoch_ gates every read, so only the rows of queried
+  // destinations ever become resident (the planes are 8 MB at n=1000,
+  // per shard).
   std::unique_ptr<int[]> dist_;
   std::unique_ptr<core::NodeId[]> next_;
   mutable std::vector<std::uint64_t> row_epoch_;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "phy/topology.h"
@@ -71,16 +74,6 @@ TEST(LinkStateRouting, StaleViewUntilRefresh) {
   EXPECT_FALSE(r.hops(0, 2).has_value());
 }
 
-TEST(LinkStateRouting, OracleModeSeesChangesImmediately) {
-  sim::Simulator sim;
-  auto topo = phy::Topology::linear(3, 30.0, 40.0);
-  RoutingConfig cfg;
-  cfg.oracle = true;
-  LinkStateRouting r(sim, topo, cfg);
-  topo.set_position(1, {1000, 0});
-  EXPECT_FALSE(r.hops(0, 2).has_value());
-}
-
 TEST(LinkStateRouting, PeriodicRefreshKeepsRunning) {
   sim::Simulator sim;
   auto topo = phy::Topology::linear(3, 30.0, 40.0);
@@ -101,9 +94,8 @@ TEST(LinkStateRouting, GridShortestPaths) {
   LinkStateRouting r(sim, topo);
   EXPECT_EQ(r.hops(0, 8), 4);  // manhattan distance in hops
   EXPECT_EQ(r.hops(0, 2), 2);
-  const auto next = r.next_hop(0, 8);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_TRUE(*next == 1 || *next == 3);
+  // 1 and 3 both start a shortest path; the smaller id wins the tie.
+  EXPECT_EQ(r.next_hop(0, 8), 1u);
 }
 
 TEST(LinkStateRouting, NextHopToSelfIsNull) {
@@ -130,12 +122,13 @@ phy::Topology random_field(std::size_t n, double side, sim::Rng& rng) {
   return t;
 }
 
-// The oracle: all-pairs routes of the live topology, computed without any
-// of the router's machinery. Adjacency comes from an O(n²) in_range scan
-// in ascending id (no grid, no flat lists), and each source gets a plain
-// BFS that carries the first hop forward. A wrong offset, a dropped
-// neighbor or an unsorted list in the router's view shows up as a
-// mismatch here.
+// The reference: all-pairs routes of the live topology, computed without
+// any of the router's machinery. Adjacency comes from an O(n²) in_range
+// scan in ascending id (no grid, no flat lists), and each *source* gets a
+// plain BFS that carries the first hop forward, while the router keys its
+// rows by destination; agreeing on every pair proves the two keyings
+// equivalent. A wrong offset, a dropped neighbor, a transposed plane index
+// or a tie broken toward the wrong parent shows up as a mismatch here.
 class Reference {
  public:
   explicit Reference(const phy::Topology& topo)
@@ -231,23 +224,27 @@ TEST(LinkStateRouting, LazyRowsMatchFullRecomputeAcrossChurn) {
   }
 }
 
-TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
+TEST(LinkStateRouting, RowsBuildOnlyForQueriedDestinations) {
   sim::Simulator sim;
   auto topo = phy::Topology::linear(50, 30.0, 40.0);
   LinkStateRouting r(sim, topo);
   EXPECT_EQ(r.stats().rows_built, 0u);  // construction computes nothing
+  // Two relays toward one destination share its row ...
   (void)r.next_hop(0, 49);
-  (void)r.hops(0, 49);
+  (void)r.hops(20, 49);
   EXPECT_EQ(r.stats().rows_built, 1u);
   EXPECT_EQ(r.stats().row_reuses, 1u);
-  (void)r.next_hop(7, 3);
-  EXPECT_EQ(r.stats().rows_built, 2u);
+  // ... and one source toward two more destinations pays two rows.
+  (void)r.next_hop(0, 3);
+  (void)r.next_hop(0, 30);
+  EXPECT_EQ(r.stats().rows_built, 3u);
   // Refresh on an unchanged topology must keep every row.
   r.refresh();
   r.refresh();
   (void)r.next_hop(0, 49);
-  (void)r.next_hop(7, 3);
-  EXPECT_EQ(r.stats().rows_built, 2u);
+  (void)r.next_hop(0, 3);
+  (void)r.next_hop(0, 30);
+  EXPECT_EQ(r.stats().rows_built, 3u);
   EXPECT_EQ(r.stats().snapshots, 1u);
   // A position write that crosses no range boundary still moves the
   // topology generation: the view re-snapshots and every row goes stale,
@@ -255,17 +252,59 @@ TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
   topo.set_position(10, {10.0 * 30.0, 1.0});
   r.refresh();
   EXPECT_EQ(r.stats().snapshots, 2u);
-  (void)r.next_hop(0, 49);
-  (void)r.next_hop(7, 3);
-  (void)r.next_hop(0, 49);
-  (void)r.next_hop(7, 3);
-  EXPECT_EQ(r.stats().rows_built, 4u);
+  for (int pass = 0; pass < 2; ++pass) {
+    (void)r.next_hop(0, 49);
+    (void)r.hops(20, 49);
+    (void)r.next_hop(0, 3);
+    (void)r.next_hop(7, 3);
+  }
+  EXPECT_EQ(r.stats().rows_built, 5u);
   // Rebuilt rows answer from the new view.
   topo.set_position(45, {45.0 * 30.0, 500.0});
   r.refresh();
   EXPECT_FALSE(r.next_hop(0, 49).has_value());
   EXPECT_EQ(r.next_hop(7, 3), 6u);
-  EXPECT_EQ(r.stats().rows_built, 6u);
+  EXPECT_EQ(r.stats().rows_built, 7u);
+}
+
+// Every relay on a path asks for the same destination: one BFS rooted
+// there answers all of them.
+TEST(LinkStateRouting, RelaysTowardOneDestinationShareOneRow) {
+  sim::Simulator sim;
+  auto topo = phy::Topology::linear(50, 30.0, 40.0);
+  LinkStateRouting r(sim, topo);
+  for (core::NodeId k = 0; k < 49; ++k) {
+    EXPECT_EQ(r.next_hop(k, 49), k + 1);
+    EXPECT_EQ(r.hops(k, 49), static_cast<int>(49 - k));
+  }
+  EXPECT_EQ(r.stats().rows_built, 1u);
+  EXPECT_EQ(r.stats().row_reuses, 97u);
+}
+
+// Lattices tie shortest paths everywhere: at range 40 a lattice node has
+// 4 neighbors, at 45 the diagonals join, at 61 the straight two-steps,
+// at 70 the knight moves. Every tie must go to the smallest-id next hop,
+// also when ids are shuffled over the lattice.
+TEST(LinkStateRouting, TieHeavyLatticesMatchReference) {
+  sim::Simulator sim;
+  for (const double range : {40.0, 45.0, 61.0, 70.0}) {
+    phy::Topology topo(64, range);
+    for (core::NodeId i = 0; i < 64; ++i)
+      topo.set_position(i, {30.0 * (i % 8), 30.0 * (i / 8)});
+    LinkStateRouting r(sim, topo);
+    const std::string context = "8x8 lattice, range " + std::to_string(range);
+    expect_matches_reference(r, topo, context.c_str());
+  }
+  sim::Rng rng(3);
+  std::vector<core::NodeId> id_at(49);
+  for (core::NodeId i = 0; i < 49; ++i) id_at[i] = i;
+  for (std::size_t i = id_at.size() - 1; i > 0; --i)
+    std::swap(id_at[i], id_at[rng.integer(i + 1)]);
+  phy::Topology topo(49, 45.0);
+  for (core::NodeId i = 0; i < 49; ++i)
+    topo.set_position(id_at[i], {30.0 * (i % 7), 30.0 * (i / 7)});
+  LinkStateRouting r(sim, topo);
+  expect_matches_reference(r, topo, "7x7 lattice, shuffled ids");
 }
 
 // The equivalence oracle under mixed churn: random interleavings of small
@@ -357,25 +396,6 @@ TEST(LinkStateRouting, RowFirstBuiltAfterALiveMoveAnswersFromTheSnapshot) {
   EXPECT_FALSE(r.path(1, 4).has_value());
   EXPECT_FALSE(r.hops(1, 4).has_value());
   EXPECT_FALSE(r.next_hop(1, 4).has_value());
-}
-
-TEST(LinkStateRouting, OracleUnchangedTopologyNeverRecomputes) {
-  // The standing perf bug this PR retires: oracle mode used to do a full
-  // all-pairs recompute on *every* query. Now an unchanged topology is a
-  // counter bump.
-  sim::Simulator sim;
-  auto topo = phy::Topology::linear(10, 30.0, 40.0);
-  RoutingConfig cfg;
-  cfg.oracle = true;
-  LinkStateRouting r(sim, topo, cfg);
-  for (int i = 0; i < 100; ++i) (void)r.next_hop(0, 9);
-  EXPECT_EQ(r.stats().snapshots, 1u);   // construction only
-  EXPECT_EQ(r.stats().rows_built, 1u);  // one row, once
-  EXPECT_EQ(r.stats().oracle_skips, 100u);
-  // A real change still shows up immediately (oracle contract).
-  topo.set_position(5, {1000.0, 0.0});
-  EXPECT_FALSE(r.next_hop(0, 9).has_value());
-  EXPECT_EQ(r.stats().snapshots, 2u);
 }
 
 }  // namespace
