@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks of the hot per-packet paths: event
 // queue, LRU cache, path monitor, reliability math, TDMA slot lookup,
 // interference coloring and its exact local repair, and the CSMA
-// contention cycle.
+// contention cycle; plus the control plane's neighbor queries, routing
+// refresh and whole-scenario build.
 //
 // Accepts the suite-wide --csv PATH and --jobs N flags (translated to
 // --benchmark_out=PATH in CSV format / ignored, since the kernels are
@@ -308,7 +309,24 @@ void BM_NeighborQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_NeighborQuery)->Arg(25)->Arg(400);
+BENCHMARK(BM_NeighborQuery)->Arg(25)->Arg(400)->Arg(1000);
+
+// Building a whole mobile scenario: the connected placement (every
+// rejected attempt included), the topology's grid, the per-shard fabric,
+// the nodes and the waypoint model, as exp::build does at the start of
+// every run. The spec is `scale_mobile,net_size=N,mac=tdma_reuse,seed=7`.
+void BM_ScenarioBuild(benchmark::State& state) {
+  exp::ScenarioSpec spec = exp::preset("scale_mobile");
+  spec.net_size = static_cast<std::size_t>(state.range(0));
+  spec.mac = mac::Mac::kTdmaReuse;
+  spec.seed = 7;
+  for (auto _ : state) {
+    auto s = exp::build(spec);
+    benchmark::DoNotOptimize(s.network.get());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScenarioBuild)->Arg(400)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_RoutingRefresh(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -5,22 +5,10 @@
 
 namespace jtp::core {
 
-namespace {
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
 PacketCache::PacketCache(std::size_t capacity_packets)
     : capacity_(capacity_packets) {
   if (capacity_packets == 0)
     throw std::invalid_argument("PacketCache: capacity must be >= 1");
-  entries_.reserve(capacity_);  // pages become resident as entries fill
-  const std::size_t nbuckets = next_pow2(2 * capacity_);
-  buckets_.assign(nbuckets, kNil);
-  bucket_mask_ = nbuckets - 1;
 }
 
 std::uint32_t PacketCache::find(std::size_t bucket, FlowId flow,
@@ -64,6 +52,13 @@ void PacketCache::chain_remove(std::uint32_t idx) {
 
 void PacketCache::insert(const PacketHeader& p) {
   if (!p.is_data()) return;  // only data packets are cacheable
+  if (buckets_.empty()) {
+    entries_.reserve(capacity_);  // pages become resident as entries fill
+    std::size_t nbuckets = 1;
+    while (nbuckets < 2 * capacity_) nbuckets <<= 1;
+    buckets_.assign(nbuckets, kNil);
+    bucket_mask_ = nbuckets - 1;
+  }
   ++insertions_;
   const std::size_t b = bucket_of(p.flow, p.seq);
   std::uint32_t idx = find(b, p.flow, p.seq);
@@ -92,7 +87,8 @@ void PacketCache::insert(const PacketHeader& p) {
 }
 
 const PacketHeader* PacketCache::lookup(FlowId flow, SeqNo seq) {
-  const std::uint32_t idx = find(bucket_of(flow, seq), flow, seq);
+  const std::uint32_t idx =
+      buckets_.empty() ? kNil : find(bucket_of(flow, seq), flow, seq);
   if (idx == kNil) {
     ++misses_;
     return nullptr;
@@ -104,7 +100,7 @@ const PacketHeader* PacketCache::lookup(FlowId flow, SeqNo seq) {
 }
 
 bool PacketCache::contains(FlowId flow, SeqNo seq) const {
-  return find(bucket_of(flow, seq), flow, seq) != kNil;
+  return !buckets_.empty() && find(bucket_of(flow, seq), flow, seq) != kNil;
 }
 
 }  // namespace jtp::core

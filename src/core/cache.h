@@ -6,16 +6,16 @@
 // manipulated" covers both insertion and a retransmission hit, so packets
 // under active repair stay resident. Capacity is shared across flows.
 //
-// Storage: entries live in a slab reserved once at construction and filled
-// on first use. While the cache is below capacity an insert appends an
-// entry; once it is full, an insert reuses the slot of the entry it evicts.
-// The slab therefore holds exactly size() entries, and a relay that only
-// ever sees a few packets never touches the rest of its reservation. An
-// intrusive doubly-linked LRU runs over slab indices, and a chained hash
-// table (buckets sized 2× capacity, rounded to a power of two) indexes
-// them. Insert, lookup, and eviction perform no heap allocation and never
-// move an entry; cached packets are bare PacketHeaders (only data packets
-// are cacheable, and data packets carry no ack body).
+// Storage: the first insert reserves a slab and allocates a chained hash
+// index (buckets sized 2× capacity, rounded to a power of two), so a cache
+// never inserted into holds nothing. While the cache is below capacity an
+// insert appends an entry; once it is full, an insert reuses the slot of
+// the entry it evicts. The slab therefore holds exactly size() entries,
+// and a relay that only ever sees a few packets never touches the rest of
+// its reservation. An intrusive doubly-linked LRU runs over slab indices.
+// After the first insert, nothing allocates and no entry ever moves;
+// cached packets are bare PacketHeaders (only data packets are cacheable,
+// and data packets carry no ack body).
 //
 // Bucket key: seq plus a per-flow offset (splitmix64 of the flow id), times
 // an odd constant, masked to the bucket count. The product's low bits
@@ -85,7 +85,7 @@ class PacketCache {
 
   std::size_t capacity_;
   std::vector<Entry> entries_;          // slab, reserved to capacity
-  std::vector<std::uint32_t> buckets_;  // chain heads
+  std::vector<std::uint32_t> buckets_;  // chain heads; empty until an insert
   std::size_t bucket_mask_ = 0;
   std::uint32_t lru_head_ = kNil;  // most recently manipulated
   std::uint32_t lru_tail_ = kNil;  // eviction victim

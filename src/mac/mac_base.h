@@ -59,27 +59,29 @@ class MacBase : public MacIface {
   };
 
   // Fixed-capacity FIFO ring: the transmit queue's bound is a protocol
-  // parameter (queue_capacity_packets), so the storage is allocated once
-  // at construction and enqueue/dequeue never touch the heap.
+  // parameter (queue_capacity_packets), so the storage is allocated once,
+  // at the first push, and enqueue/dequeue never touch the heap after it.
   class TxRing {
    public:
-    explicit TxRing(std::size_t capacity) : buf_(capacity) {}
-    bool full() const { return size_ == buf_.size(); }
+    explicit TxRing(std::size_t capacity) : capacity_(capacity) {}
+    bool full() const { return size_ == capacity_; }
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
     Entry& front() { return buf_[head_]; }
     void push_back(Entry&& e) {
-      buf_[(head_ + size_) % buf_.size()] = std::move(e);
+      if (buf_.empty()) buf_.resize(capacity_);
+      buf_[(head_ + size_) % capacity_] = std::move(e);
       ++size_;
     }
     void pop_front() {
       buf_[head_] = Entry{};  // release the packet handle
-      head_ = (head_ + 1) % buf_.size();
+      head_ = (head_ + 1) % capacity_;
       --size_;
     }
 
    private:
-    std::vector<Entry> buf_;
+    std::vector<Entry> buf_;  // empty until the first push
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
   };

@@ -28,9 +28,7 @@ Channel::LinkState& Channel::state_for(core::NodeId a, core::NodeId b) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(mm.first) << 32) | mm.second;
   return links_.find_or_create(key, [&] {
-    LinkState s;
-    s.rng = master_.derive("link", key);
-    s.bad = false;
+    LinkState s{false, 0.0, master_.derive("link", key)};
     s.next_flip = s.rng.exponential(mean_good_dwell_s());
     return s;
   });

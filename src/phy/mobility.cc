@@ -12,12 +12,13 @@ constexpr double kPi = 3.14159265358979323846;
 
 RandomWaypoint::RandomWaypoint(sim::Simulator& sim, Topology& topo,
                                MobilityConfig cfg, sim::Rng rng)
-    : sim_(sim), topo_(topo), cfg_(cfg), nodes_(topo.size()) {
+    : sim_(sim), topo_(topo), cfg_(cfg) {
   if (cfg.speed_mps <= 0) throw std::invalid_argument("RandomWaypoint: speed");
   if (cfg.update_interval_s <= 0)
     throw std::invalid_argument("RandomWaypoint: update interval");
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    nodes_[i].rng = rng.derive("rwp", i);
+  nodes_.reserve(topo.size());
+  for (std::size_t i = 0; i < topo.size(); ++i)
+    nodes_.push_back({Position{}, false, rng.derive("rwp", i)});
 }
 
 void RandomWaypoint::start() {

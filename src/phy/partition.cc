@@ -13,10 +13,10 @@ Partition partition_strips(const Topology& topo, std::size_t max_shards) {
   out.shard_count = 1;
   if (max_shards <= 1 || n == 0) return out;
 
-  // Bin nodes into vertical strips one radio range wide — the same cell
-  // side the topology's neighbor grid uses, so a strip boundary is also
-  // an interference-locality boundary. std::map keeps strips ordered
-  // left to right.
+  // Bin nodes into vertical strips one radio range wide (the topology
+  // grid's cell side unless a sparse box coarsens it), so a strip
+  // boundary is also an interference-locality boundary. std::map keeps
+  // strips ordered left to right.
   const double side = topo.radio_range();
   std::map<std::int64_t, std::vector<core::NodeId>> strips;
   for (std::size_t id = 0; id < n; ++id) {

@@ -3,7 +3,7 @@
 // Shards must be spatially contiguous: the sharded runner's lookahead
 // argument only bounds *cross-shard* traffic, and radio traffic is
 // local, so cutting the field into strips of whole grid columns keeps
-// almost all deliveries same-shard. We reuse the Topology's grid
+// almost all deliveries same-shard. We use the Topology grid's base
 // geometry (cell side = radio range): every node is binned by
 // floor(x / range), occupied strips are cut into K contiguous runs with
 // balanced node counts (greedy: close each shard once it reaches the

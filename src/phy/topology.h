@@ -4,19 +4,18 @@
 // connected random fields (§6.1.2), and the 14-node indoor testbed
 // (Table 2). Positions are mutable to support mobility.
 //
-// Connectivity queries are served by a uniform spatial grid whose cell
-// side equals the radio range: every neighbor of a node lies in the 3x3
-// cell block around it, so neighbors()/connected() cost O(cell occupancy)
-// per node instead of a full scan — the difference between paper-scale
-// (n ~ 25) and production-scale (n ~ 1000) control planes. set_position
-// updates the index incrementally and bumps a generation counter that
-// consumers (the routing view, the reuse schedule) use to detect
-// "topology unchanged" without comparing positions.
+// Range queries scan a dense cell grid: one row-major vector of cells over
+// the occupied box, so every neighbor lies in the 3x3 block around a node's
+// cell. Each node keeps its cell and its index in it, so set_position moves
+// it in O(1); a position outside the box regrows the box with slack and
+// refiles every node. The cell side is R, doubled while the box would need
+// more than 4n + 256 cells: storage stays O(n), and answers do not change.
+// set_position also bumps a generation counter that consumers (the routing
+// view, the reuse schedule) compare to detect "topology unchanged".
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -65,7 +64,7 @@ class Topology {
   std::vector<core::NodeId> neighbors(core::NodeId id) const;
 
   // Allocation-free variant for per-node loops (the routing view's
-  // adjacency snapshot, connected()): clears `out` and fills it with the
+  // adjacency snapshot): clears `out` and fills it with the
   // in-range ids in ascending order — the same order the full-scan
   // implementation produced, which the routing tie-breaks (and therefore
   // the committed baselines) depend on. The radius-R case of within_into.
@@ -73,7 +72,7 @@ class Topology {
 
   // Clears `out` and fills it with every other node within `radius` of
   // `id` (inclusive), ascending. Scans the (2k+1)^2 cell block around the
-  // node, k = ceil(radius / R): the 3x3 block at radius R.
+  // node, k = ceil(radius / side): the 3x3 block at radius R.
   void within_into(core::NodeId id, double radius,
                    std::vector<core::NodeId>& out) const;
 
@@ -85,17 +84,16 @@ class Topology {
   static Topology linear(std::size_t n, double spacing_m, double range_m);
 
   // Uniform random placement in a square field; resamples until connected
-  // (the field must be sized so connectivity holds w.h.p. — see
-  // exp::random_field_side_m).
+  // (see exp::random_field_side_m for how often an attempt is accepted).
+  // Only the accepted placement is filed, so generation() == n.
   static Topology random_connected(std::size_t n, double field_m,
                                    double range_m, sim::Rng& rng,
                                    int max_tries = 200);
 
  private:
-  // Packed (cell-x, cell-y) pair; cell side = radio range.
-  using CellKey = std::uint64_t;
-  static CellKey pack_cell(std::int64_t cx, std::int64_t cy);
-  CellKey cell_of(const Position& p) const;
+  std::int64_t cell_at(const Position& p) const;  // -1 outside the box
+  void file(core::NodeId id, std::int64_t cell);
+  void regrid();  // fits the box around all positions, refiles every node
 
   std::vector<Position> pos_;
   double range_;
@@ -104,8 +102,13 @@ class Topology {
   // bumps exactly once per set_position, so the ring always holds the
   // movers of the last `capacity` generations with no head pointer.
   std::vector<core::NodeId> move_ring_;
-  std::unordered_map<CellKey, std::vector<core::NodeId>> cells_;
-  std::vector<CellKey> cell_key_;  // per node: the cell it is filed under
+  // The box: cells [cx0_, cx0_ + cols_) x [cy0_, cy0_ + rows_) in units of
+  // side_, where a coordinate v lies in cell floor(v / side_).
+  double side_ = 0.0;
+  std::int64_t cx0_ = 0, cy0_ = 0, cols_ = 0, rows_ = 0;
+  std::vector<std::vector<core::NodeId>> cells_;  // row-major
+  std::vector<std::uint32_t> cell_of_;   // per node: its cell
+  std::vector<std::uint32_t> index_of_;  // per node: its index in that cell
 };
 
 }  // namespace jtp::phy

@@ -37,9 +37,18 @@ TEST(PacketCache, InsertThenLookup) {
 }
 
 TEST(PacketCache, MissReturnsNullopt) {
+  // A cache never inserted into holds no index yet: every probe misses and
+  // counts, and the first insert then serves hits.
   PacketCache c(10);
   EXPECT_EQ(c.lookup(1, 5), nullptr);
+  EXPECT_FALSE(c.contains(1, 5));
   EXPECT_EQ(c.misses(), 1u);
+  c.insert(data(1, 5));
+  EXPECT_TRUE(c.contains(1, 5));
+  EXPECT_NE(c.lookup(1, 5), nullptr);
+  EXPECT_EQ(c.hits(), 1u);
+  EXPECT_EQ(c.lookup(1, 6), nullptr);
+  EXPECT_EQ(c.misses(), 2u);
 }
 
 TEST(PacketCache, IgnoresAcks) {

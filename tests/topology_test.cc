@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/random.h"
@@ -47,6 +48,70 @@ TEST(Topology, RandomConnectedIsConnected) {
     EXPECT_TRUE(t.connected());
     EXPECT_EQ(t.size(), 15u);
   }
+}
+
+// Reference placement loop: a Topology per attempt, filed by set_position,
+// accepted when a brute-force BFS over in_range reaches every node.
+// random_connected must accept exactly the attempt this accepts.
+bool brute_force_connected(const Topology& t) {
+  std::vector<bool> seen(t.size(), false);
+  std::vector<core::NodeId> queue{0};
+  seen[0] = true;
+  for (std::size_t head = 0; head < queue.size(); ++head)
+    for (core::NodeId v = 0; v < t.size(); ++v)
+      if (!seen[v] && t.in_range(queue[head], v)) {
+        seen[v] = true;
+        queue.push_back(v);
+      }
+  return queue.size() == t.size();
+}
+
+Topology reference_random_connected(std::size_t n, double field_m,
+                                    double range_m, sim::Rng& rng,
+                                    int max_tries) {
+  for (int attempt = 0; attempt < max_tries; ++attempt) {
+    Topology t(n, range_m);
+    for (std::size_t i = 0; i < n; ++i)
+      t.set_position(i, {rng.uniform(0.0, field_m), rng.uniform(0.0, field_m)});
+    if (brute_force_connected(t)) return t;
+  }
+  throw std::runtime_error("reference: no connected placement");
+}
+
+TEST(Topology, RandomConnectedMatchesPerAttemptReference) {
+  // Fields sized like the scenario tier's (exp::random_field_side_m: 5 to
+  // ~8.7 nodes per range disk), where most attempts are rejected: these 15
+  // cases take 46 attempts in all, 1 to 6 each.
+  for (const std::size_t n : {2u, 15u, 60u, 400u, 1000u}) {
+    const double per_disk = std::max(5.0, std::log(n / 25.0) + 5.0);
+    const double field =
+        std::sqrt(n * 3.14159265358979 * 40.0 * 40.0 / per_disk);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      sim::Rng fast_rng(seed), ref_rng(seed);
+      const auto t = Topology::random_connected(n, field, 40.0, fast_rng);
+      const auto ref = reference_random_connected(n, field, 40.0, ref_rng, 200);
+      ASSERT_EQ(t.size(), n);
+      for (core::NodeId i = 0; i < n; ++i) {
+        EXPECT_EQ(t.position(i).x, ref.position(i).x) << n << "/" << i;
+        EXPECT_EQ(t.position(i).y, ref.position(i).y) << n << "/" << i;
+      }
+      EXPECT_EQ(t.generation(), ref.generation());
+      std::vector<core::NodeId> moved, ref_moved;
+      EXPECT_TRUE(t.moved_since(0, moved));
+      EXPECT_TRUE(ref.moved_since(0, ref_moved));
+      EXPECT_EQ(moved, ref_moved);
+      // Both consumed the same draws: the streams stay in step.
+      EXPECT_EQ(fast_rng.uniform(), ref_rng.uniform()) << n << "/" << seed;
+      EXPECT_TRUE(t.connected());
+    }
+  }
+  // An impossible field: both give up after the same number of attempts.
+  sim::Rng fast_rng(5), ref_rng(5);
+  EXPECT_THROW(Topology::random_connected(10, 100000.0, 40.0, fast_rng, 5),
+               std::runtime_error);
+  EXPECT_THROW(reference_random_connected(10, 100000.0, 40.0, ref_rng, 5),
+               std::runtime_error);
+  EXPECT_EQ(fast_rng.uniform(), ref_rng.uniform());
 }
 
 TEST(Topology, RandomConnectedImpossibleFieldThrows) {
@@ -137,6 +202,32 @@ TEST(TopologyGridIndex, NeighborsMatchBruteForceOnRandomFields) {
       expect_index_matches_brute_force(t, "fresh placement");
     }
   }
+  // A field straddling the origin at +-5000 m: 12 clusters of 20 nodes.
+  // The box is ~60x wider than the clusters, so the grid coarsens its
+  // cell side to keep the cell count O(n).
+  std::vector<Position> centers(12);
+  for (Position& c : centers)
+    c = {rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0)};
+  Topology wide(240, 40.0);
+  for (core::NodeId i = 0; i < 240; ++i) {
+    const Position& c = centers[i % centers.size()];
+    wide.set_position(i, {c.x + rng.uniform(-100.0, 100.0),
+                          c.y + rng.uniform(-100.0, 100.0)});
+  }
+  expect_index_matches_brute_force(wide, "+-5000 m clusters");
+  // One node at 1e6 m: the box grows to reach it and coarsens until the
+  // whole dense field shares one cell; answers stay exact, also after the
+  // node comes back and the others move.
+  Topology far(60, 40.0);
+  for (core::NodeId i = 0; i < 60; ++i)
+    far.set_position(i, {rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+  far.set_position(7, {1e6, 1e6});
+  expect_index_matches_brute_force(far, "one node at 1e6 m");
+  far.set_position(7, {150.0, 150.0});
+  for (int round = 0; round < 100; ++round)
+    far.set_position(static_cast<core::NodeId>(rng.integer(60)),
+                     {rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+  expect_index_matches_brute_force(far, "after the far node returned");
 }
 
 TEST(TopologyGridIndex, NeighborsMatchBruteForceAfterChurn) {
