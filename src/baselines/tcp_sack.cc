@@ -80,7 +80,7 @@ void TcpSackSender::pace() {
     const core::SeqNo seq = rtx_queue_.front();
     rtx_queue_.pop_front();
     auto it = unacked_.find(seq);
-    if (it == unacked_.end() || sacked_.count(seq)) continue;
+    if (it == unacked_.end()) continue;
     it->second = env_.now();
     ++source_rtx_;
     ++data_sent_;
@@ -124,8 +124,6 @@ void TcpSackSender::on_ack(const core::Packet& ack) {
   const core::SeqNo old_cum = cum_ack_;
   cum_ack_ = std::max(cum_ack_, h.cumulative_ack);
   unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
-  while (!sacked_.empty() && *sacked_.begin() < cum_ack_)
-    sacked_.erase(sacked_.begin());
 
   // SNACK.missing doubles as the SACK hole list.
   std::uint64_t newly_lost = 0;
@@ -146,7 +144,6 @@ void TcpSackSender::on_ack(const core::Packet& ack) {
   if (denom > 0) {
     const double sample = static_cast<double>(newly_lost) / denom;
     loss_est_ = (1.0 - cfg_.loss_alpha) * loss_est_ + cfg_.loss_alpha * sample;
-    ++loss_samples_;
   }
   update_rate();
   arm_rto();  // progress: push the timeout out

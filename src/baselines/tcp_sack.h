@@ -91,13 +91,11 @@ class TcpSackSender final : public core::TransportSender {
   core::SeqNo cum_ack_ = 0;
   std::map<core::SeqNo, double> unacked_;  // seq -> last send time
   std::deque<core::SeqNo> rtx_queue_;
-  std::set<core::SeqNo> sacked_;           // above cum_ack, already received
 
   double rate_pps_;
   double srtt_;
   double rttvar_;
   double loss_est_;
-  std::uint64_t loss_samples_ = 0;
 
   core::TimerId pacing_timer_ = 0;
   bool pacing_armed_ = false;

@@ -28,12 +28,12 @@ IjtpModule::PreXmitResult IjtpModule::pre_xmit(Packet& p, const LinkView& link,
     const int hops = std::max(1, remaining_hops);
     const double q_target = per_link_success_target(p.loss_tolerance, hops);
     res.max_attempts =
-        attempt_budget(q_target, link.loss_rate, cfg_.max_attempts);
+        attempt_budget(q_target, link.loss_rate, kDefaultMaxAttempts);
     const double q_achieved =
         achieved_link_success(link.loss_rate, res.max_attempts);
     p.loss_tolerance = update_loss_tolerance(p.loss_tolerance, q_achieved);
   } else {
-    res.max_attempts = cfg_.max_attempts;
+    res.max_attempts = kDefaultMaxAttempts;
   }
 
   // Lines 10-12: stamp the minimum effective available rate, normalized by

@@ -32,7 +32,6 @@ namespace jtp::core {
 
 struct IjtpConfig {
   std::size_t cache_capacity_packets = 1000;  // Table 1
-  int max_attempts = kDefaultMaxAttempts;     // MAC cap, Table 1
   bool caching_enabled = true;                // false => JNC baseline
   bool rewrite_locally_recovered = true;      // ablation: duplicate rtx
   // Cap on cache retransmissions served from one traversing ACK, so a

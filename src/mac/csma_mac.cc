@@ -56,7 +56,7 @@ bool CsmaMedium::finish_tx(TxId id) {
 CsmaMac::CsmaMac(sim::Simulator& sim, CsmaMedium& medium, phy::Channel& channel,
                  phy::EnergyModel& energy, core::NodeId self,
                  double unit_backoff_s, MacConfig cfg, sim::Rng rng)
-    : MacBase(sim, channel, energy, self, cfg),
+    : MacIface(sim, channel, energy, self, cfg),
       medium_(medium),
       unit_(unit_backoff_s),
       rng_(rng),
@@ -116,33 +116,12 @@ void CsmaMac::attempt_transmit() {
     return;
   }
 
-  Entry& e = q.front();
-  const bool first_attempt = (e.attempts_done == 0);
-  const core::LinkView link = estimator_.view(e.next_hop, sim_.now());
-  const core::Joules tx_e = energy_.tx_energy(e.packet->size_bits());
-
-  PreXmitDecision d;
-  d.max_attempts = cfg_.default_max_attempts;
-  if (pre_xmit_)
-    d = pre_xmit_(*e.packet, e.next_hop, link, tx_e, first_attempt);
-  if (d.drop) {
-    ++budget_drops_;
-    finish_head(q, /*delivered=*/false);
+  if (!begin_attempt(q)) {
     next_cycle();
     return;
   }
-  if (first_attempt) {
-    e.max_attempts =
-        d.max_attempts > 0 ? d.max_attempts : cfg_.default_max_attempts;
-    if (attempt_trace_ && e.packet->is_data())
-      attempt_trace_(sim_.now(), *e.packet, e.max_attempts);
-  }
 
-  ++transmissions_;
-  ++e.attempts_done;
-  estimator_.record_slot_used(sim_.now());
-  energy_.charge_tx(self_, e.packet->size_bits());
-
+  const Entry& e = q.front();
   const double air = energy_.config().fixed_overhead_s +
                      energy_.airtime_s(e.packet->size_bits());
   const sim::Time start = sim_.now();
@@ -162,23 +141,10 @@ void CsmaMac::attempt_transmit() {
 
 void CsmaMac::finish_tx(TxRing* q, CsmaMedium::TxId txid, bool lost_ch) {
   const bool collided = medium_.finish_tx(txid);
-  Entry& e = q->front();
-  const bool lost = lost_ch || collided;
-  estimator_.record_attempt(e.next_hop, lost);
-
-  if (!lost) {
-    // The frame lands half a unit from now, one whole unit after the
-    // airtime ended.
-    core::PacketPtr delivered = std::move(e.packet);
-    const core::NodeId to = e.next_hop;
-    finish_head(*q, /*delivered=*/true);
-    if (deliver_) deliver_(0.5 * unit_, std::move(delivered), self_, to);
-  } else if (e.attempts_done >= e.max_attempts) {
-    ++attempt_drops_;
-    finish_head(*q, /*delivered=*/false);
-  }
-  // else: the packet stays at the head and re-contends.
-
+  // A success lands half a unit from now, one whole unit after the
+  // airtime ended; a failed head stays to re-contend unless its budget is
+  // spent.
+  end_attempt(*q, lost_ch || collided, 0.5 * unit_);
   next_cycle();
 }
 

@@ -1,6 +1,6 @@
 // Slotted CSMA/CA with binary exponential backoff (802.15.4 style).
 //
-// The contention counterpoint to the TDMA family: instead of owned slots,
+// The contention counterpoint to slotted TDMA: instead of owned slots,
 // a node that has traffic backs off a random number of unit periods in
 // [0, 2^BE), senses the carrier (CCA), and transmits if idle. A busy CCA
 // doubles the window (BE capped at max_be) and counts against the backoff
@@ -23,15 +23,16 @@
 //  * The collision verdict is read half a unit after the frame ends, and
 //    the deliver hook lands the frame another half unit later (Network
 //    charges the receive energy when it lands).
-// Every attempt (including retries) is charged to the energy layer
-// individually, matching the ns-3 802.15.4 energy exemplar where cost is
-// unitEnergy · (retries + 1).
+// Each attempt goes through MacIface's one attempt path (begin_attempt /
+// end_attempt), the same one slotted TDMA takes: every attempt (including
+// retries) is charged to the energy layer individually, matching the ns-3
+// 802.15.4 energy exemplar where cost is unitEnergy · (retries + 1).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "mac/mac_base.h"
+#include "mac/mac.h"
 #include "phy/topology.h"
 #include "sim/random.h"
 
@@ -88,7 +89,7 @@ class CsmaMedium {
   std::vector<Tx> active_;
 };
 
-class CsmaMac final : public MacBase {
+class CsmaMac final : public MacIface {
  public:
   CsmaMac(sim::Simulator& sim, CsmaMedium& medium, phy::Channel& channel,
           phy::EnergyModel& energy, core::NodeId self, double unit_backoff_s,

@@ -1,65 +1,31 @@
 #include "mac/fabric.h"
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "mac/csma_mac.h"
-#include "mac/reuse_tdma.h"
-#include "mac/tdma_mac.h"
-#include "mac/tdma_schedule.h"
+#include "mac/slotted.h"
 
 namespace jtp::mac {
 
 namespace {
 
-// Classic TDMA: the n-slot frame (paper §2). Committed baselines are
-// pinned to the schedule's seed derivation.
-class TdmaFabric final : public MacFabric {
+// Slotted TDMA over one SlotSchedule. An empty margin is classic TDMA,
+// the n-slot frame (paper §2); a margin is spatial reuse, the frame of
+// interference colors, recolored lazily off the topology generation. Both
+// derive the slot permutation's seed alike, and committed baselines are
+// pinned to that derivation.
+class SlottedFabric final : public MacFabric {
  public:
-  explicit TdmaFabric(const MacContext& ctx)
-      : schedule_(ctx.topo.size(), ctx.slot_duration_s,
-                  ctx.seed ^ 0x7d3aULL) {
-    macs_.reserve(ctx.topo.size());
-    for (core::NodeId id = 0; id < ctx.topo.size(); ++id)
-      macs_.push_back(std::make_unique<TdmaMac>(ctx.sim, schedule_,
-                                                ctx.channel, ctx.energy, id,
-                                                ctx.config));
-  }
-
-  MacIface& mac_of(core::NodeId id) override { return *macs_.at(id); }
-  std::size_t size() const override { return macs_.size(); }
-  double node_capacity_pps() const override {
-    return schedule_.node_capacity_pps();
-  }
-  double frame_duration_s() const override {
-    return schedule_.frame_duration();
-  }
-  MacStats stats() const override {
-    // The degenerate coloring: every node its own color.
-    MacStats st;
-    st.colors_used = macs_.size();
-    st.max_color = macs_.empty() ? 0 : macs_.size() - 1;
-    return st;
-  }
-
- private:
-  TdmaSchedule schedule_;
-  std::vector<std::unique_ptr<TdmaMac>> macs_;
-};
-
-// Spatial-reuse TDMA: frame length = interference colors, recolored
-// lazily off the topology generation. Same seed derivation as classic so
-// the color-slot permutation is comparable across disciplines.
-class ReuseFabric final : public MacFabric {
- public:
-  explicit ReuseFabric(const MacContext& ctx)
+  SlottedFabric(const MacContext& ctx, std::optional<double> reuse_margin)
       : schedule_(ctx.topo, ctx.slot_duration_s, ctx.seed ^ 0x7d3aULL,
-                  ctx.config.reuse_range_margin) {
+                  reuse_margin) {
     macs_.reserve(ctx.topo.size());
     for (core::NodeId id = 0; id < ctx.topo.size(); ++id)
-      macs_.push_back(std::make_unique<ReuseTdmaMac>(ctx.sim, schedule_,
-                                                     ctx.channel, ctx.energy,
-                                                     id, ctx.config));
+      macs_.push_back(std::make_unique<SlottedMac>(ctx.sim, schedule_,
+                                                   ctx.channel, ctx.energy,
+                                                   id, ctx.config));
   }
 
   MacIface& mac_of(core::NodeId id) override { return *macs_.at(id); }
@@ -73,8 +39,8 @@ class ReuseFabric final : public MacFabric {
   MacStats stats() const override { return schedule_.stats(); }
 
  private:
-  ReuseSchedule schedule_;
-  std::vector<std::unique_ptr<ReuseTdmaMac>> macs_;
+  SlotSchedule schedule_;
+  std::vector<std::unique_ptr<SlottedMac>> macs_;
 };
 
 // CSMA/CA: contention over a shared carrier; the scenario's slot duration
@@ -112,8 +78,10 @@ class CsmaFabric final : public MacFabric {
 
 std::unique_ptr<MacFabric> make_fabric(Mac m, const MacContext& ctx) {
   switch (m) {
-    case Mac::kTdma: return std::make_unique<TdmaFabric>(ctx);
-    case Mac::kTdmaReuse: return std::make_unique<ReuseFabric>(ctx);
+    case Mac::kTdma: return std::make_unique<SlottedFabric>(ctx, std::nullopt);
+    case Mac::kTdmaReuse:
+      return std::make_unique<SlottedFabric>(ctx,
+                                             ctx.config.reuse_range_margin);
     case Mac::kCsma: return std::make_unique<CsmaFabric>(ctx);
   }
   throw std::invalid_argument("make_fabric: unknown MAC");

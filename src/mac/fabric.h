@@ -2,11 +2,12 @@
 // mac::Mac value.
 //
 // A fabric owns one MacIface per node plus whatever shared state the
-// discipline needs (the TDMA slot schedule, the interference coloring,
-// the CSMA carrier). `Network` builds it with make_fabric(
-// NetworkConfig::mac_kind, ...) and talks only to the fabric. make_fabric
-// is one switch over Mac with no default, so -Wswitch (an error in this
-// build) names it when a Mac value is added.
+// discipline needs. There are two: the slotted fabric (one SlotSchedule,
+// identity-colored for tdma, interference-colored for tdma_reuse; see
+// mac/slotted.h) and the CSMA fabric (the shared carrier). `Network`
+// builds one with make_fabric(NetworkConfig::mac_kind, ...) and talks only
+// to the fabric. make_fabric is one switch over Mac with no default, so
+// -Wswitch (an error in this build) names it when a Mac value is added.
 #pragma once
 
 #include <cstdint>

@@ -80,12 +80,12 @@ mac::PreXmitDecision Node::pre_xmit(core::Packet& p, core::NodeId /*next_hop*/,
         p.available_rate_pps =
             std::min(p.available_rate_pps, sustainable);
       }
-      return {false, cfg_.baseline_max_attempts};
+      return {false, core::kDefaultMaxAttempts};
     }
     case HopPolicy::kPlain:
-      return {false, cfg_.baseline_max_attempts};
+      return {false, core::kDefaultMaxAttempts};
   }
-  return {false, cfg_.baseline_max_attempts};
+  return {false, core::kDefaultMaxAttempts};
 }
 
 void Node::handle_delivery(core::PacketPtr p, core::NodeId /*from*/) {

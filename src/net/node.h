@@ -50,7 +50,6 @@ class FlowTable {
 
 struct NodeConfig {
   core::IjtpConfig ijtp;
-  int baseline_max_attempts = core::kDefaultMaxAttempts;
   // Horizon over which standing queue backlog is converted into an
   // available-rate discount for JTP's stamp (shorter = more conservative
   // congestion avoidance).

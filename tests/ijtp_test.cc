@@ -59,18 +59,14 @@ TEST(IjtpPreXmit, ZeroBudgetMeansUnbudgeted) {
 }
 
 TEST(IjtpPreXmit, FullReliabilityGetsMaxAttempts) {
-  IjtpConfig cfg;
-  cfg.max_attempts = 5;
-  IjtpModule m(cfg);
+  IjtpModule m;
   Packet p = data(1, 0, /*lt=*/0.0);
   const auto r = m.pre_xmit(p, link(0.3), 4, 0.0, true);
-  EXPECT_EQ(r.max_attempts, 5);
+  EXPECT_EQ(r.max_attempts, kDefaultMaxAttempts);
 }
 
 TEST(IjtpPreXmit, TolerantPacketGetsFewerAttempts) {
-  IjtpConfig cfg;
-  cfg.max_attempts = 5;
-  IjtpModule m(cfg);
+  IjtpModule m;
   Packet tolerant = data(1, 0, /*lt=*/0.2);
   Packet strict = data(1, 1, /*lt=*/0.0);
   const auto rt = m.pre_xmit(tolerant, link(0.3), 2, 0.0, true);

@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mac/reuse_tdma.h"
+#include "mac/slotted.h"
 #include "phy/mobility.h"
 #include "phy/topology.h"
 #include "sim/random.h"
@@ -186,10 +186,9 @@ TEST(InterferenceColoring, CliqueNeedsNColors) {
   expect_proper(topo, c, 1.0);
   EXPECT_EQ(c.colors_used, kN);
 
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   const MacStats st = sched.stats();
   EXPECT_EQ(st.colors_used, kN);
-  EXPECT_EQ(st.max_color, kN - 1);
   EXPECT_DOUBLE_EQ(st.reuse_factor, 1.0);
 }
 
@@ -203,16 +202,19 @@ TEST(InterferenceColoring, SparseChainNeedsThreeColors) {
   expect_proper(topo, c, 1.0);
   EXPECT_EQ(c.colors_used, 3u);
 
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   const MacStats st = sched.stats();
   EXPECT_EQ(st.colors_used, 3u);
   EXPECT_DOUBLE_EQ(st.reuse_factor, 4.0);
   EXPECT_GT(st.reuse_factor, 1.0);
 }
 
+// The ReuseSchedule suite: SlotSchedule under an interference margin,
+// the tdma_reuse schedule.
+
 TEST(ReuseSchedule, RecolorsOnlyWhenTopologyGenerationChanges) {
   auto topo = random_field(30, 180.0, 21);
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   EXPECT_EQ(sched.stats().recolors, 1u);  // the construction-time coloring
   sched.ensure();
   sched.ensure();
@@ -228,7 +230,7 @@ TEST(ReuseSchedule, SlotTimesAreFrameIndependent) {
   // length must not move slot boundaries (in-flight MAC timers rely on
   // this).
   auto topo = random_field(30, 180.0, 23);
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   EXPECT_DOUBLE_EQ(sched.slot_start(17), 0.17);
   const auto p = topo.position(2);
   topo.set_position(2, {p.x + 40.0, p.y});
@@ -240,7 +242,7 @@ TEST(ReuseSchedule, SlotTimesAreFrameIndependent) {
 
 TEST(ReuseSchedule, OwnedSlotsFollowColors) {
   const auto topo = phy::Topology::linear(9, 30.0, 40.0);
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   // Nodes 0 and 3 are 90 m apart — independent, same color under the
   // 3-coloring of the chain; they own exactly the same slots.
   EXPECT_EQ(sched.color_of(0), sched.color_of(3));
@@ -382,7 +384,7 @@ TEST(InterferenceRepair, StationaryMoversAreHarmless) {
 
 TEST(ReuseSchedule, MoveRingOverflowFallsBackToAFullPass) {
   auto topo = scatter(60, 250.0, 0.0, 81);
-  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  SlotSchedule sched(topo, 0.01, 7, 1.0);
   sim::Rng rng(9);
   const auto teleport_one = [&] {
     topo.set_position(static_cast<core::NodeId>(rng.integer(60)),
@@ -419,8 +421,8 @@ TEST(ReuseSchedule, WaypointDrivenScheduleMatchesScratchAfterEveryEnsure) {
   cfg.field_m = 300.0;
   phy::RandomWaypoint rwp(sim, topo, cfg, sim::Rng(3));
   rwp.start();
-  ReuseSchedule narrow(topo, 0.01, 7, 1.0);
-  ReuseSchedule wide(topo, 0.01, 7, 2.0);
+  SlotSchedule narrow(topo, 0.01, 7, 1.0);
+  SlotSchedule wide(topo, 0.01, 7, 2.0);
   for (double t = 0.3; t <= 60.0; t += 0.3) {
     sim.run_until(t);
     for (const auto* s : {&narrow, &wide}) {

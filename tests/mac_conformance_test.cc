@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/packet_pool.h"
+#include "core/reliability.h"
 #include "exp/scenario.h"
 #include "exp/workload.h"
 #include "mac/csma_mac.h"
@@ -116,14 +117,33 @@ TEST_P(MacConformance, RetryAccountingMatchesEstimatorFeed) {
   auto& m = r.fabric->mac_of(0);
   for (core::SeqNo s = 0; s < kPackets; ++s) m.enqueue(r.data(s), 1);
   r.sim.run_until(10.0);
-  const auto budget =
-      static_cast<std::uint64_t>(MacConfig{}.default_max_attempts);
+  const auto budget = static_cast<std::uint64_t>(core::kDefaultMaxAttempts);
   EXPECT_EQ(m.transmissions(), kPackets * budget);
   EXPECT_EQ(m.attempt_exhausted_drops(), kPackets);
   EXPECT_EQ(m.deliveries(), 0u);
   EXPECT_DOUBLE_EQ(m.estimator().avg_attempts(1),
                    static_cast<double>(budget));
   EXPECT_GT(m.estimator().loss_rate(1), 0.5);
+}
+
+TEST_P(MacConformance, SenderPaysOneChargePerAttempt) {
+  // Half the attempts fail, so packets take retries: the sender pays the
+  // transmit energy once per attempt that hit the air, first or not
+  // (unitEnergy · (retries + 1) per packet), and the MAC charges the
+  // receiver nothing — the deliver hook owns that charge.
+  constexpr int kPackets = 20;
+  FabricRig r(GetParam(), /*loss=*/0.5);
+  auto& m = r.fabric->mac_of(0);
+  for (core::SeqNo s = 0; s < kPackets; ++s) m.enqueue(r.data(s), 1);
+  r.sim.run_until(20.0);
+  EXPECT_EQ(m.queue_length(), 0u);
+  EXPECT_GT(m.transmissions(), static_cast<std::uint64_t>(kPackets));
+  const double bits = r.data()->size_bits();
+  EXPECT_NEAR(r.energy.node_energy(0),
+              static_cast<double>(m.transmissions()) *
+                  r.energy.tx_energy(bits),
+              1e-9);
+  EXPECT_DOUBLE_EQ(r.energy.node_energy(1), 0.0);
 }
 
 TEST_P(MacConformance, PreXmitDropIsHonored) {

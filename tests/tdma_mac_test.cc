@@ -1,12 +1,19 @@
-#include "mac/tdma_mac.h"
+// Classic TDMA: SlottedMac over the identity-colored SlotSchedule, the
+// paper's one pseudo-random slot per node per n-slot frame. The node-level
+// TdmaSchedule with the same seed is the reference for which node owns a
+// slot (tdma_schedule_test pins that the two agree slot for slot).
+#include "mac/slotted.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/packet_pool.h"
+#include "mac/tdma_schedule.h"
 #include "phy/channel.h"
 #include "phy/energy_model.h"
+#include "phy/topology.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -16,13 +23,15 @@ namespace {
 
 struct Rig {
   explicit Rig(double loss = 0.0, std::size_t n = 2, MacConfig mc = {})
-      : schedule(n, 0.01, 7),
+      : topo(phy::Topology::linear(n, 30.0, 40.0)),
+        schedule(topo, 0.01, 7, std::nullopt),
+        reference(n, 0.01, 7),
         channel(make_channel_cfg(loss), sim::Rng(3)),
         energy(n, {}),
         macs() {
     for (core::NodeId id = 0; id < n; ++id)
-      macs.push_back(std::make_unique<TdmaMac>(sim, schedule, channel, energy,
-                                               id, mc));
+      macs.push_back(std::make_unique<SlottedMac>(sim, schedule, channel,
+                                                  energy, id, mc));
   }
   static phy::ChannelConfig make_channel_cfg(double loss) {
     phy::ChannelConfig c;
@@ -50,10 +59,12 @@ struct Rig {
 
   core::PacketPool pool;  // before sim: pending events hold handles
   sim::Simulator sim;
-  TdmaSchedule schedule;
+  phy::Topology topo;
+  SlotSchedule schedule;
+  TdmaSchedule reference;  // owner() per slot
   phy::Channel channel;
   phy::EnergyModel energy;
-  std::vector<std::unique_ptr<TdmaMac>> macs;
+  std::vector<std::unique_ptr<SlottedMac>> macs;
 };
 
 TEST(TdmaMac, DeliversOverLosslessLink) {
@@ -86,7 +97,7 @@ TEST(TdmaMac, TransmitsOnlyInOwnedSlots) {
   r.sim.run_until(1.0);
   ASSERT_GE(tx_time, 0.0);
   const auto slot = r.schedule.slot_at(tx_time);
-  EXPECT_EQ(r.schedule.owner(slot), 0u);
+  EXPECT_EQ(r.reference.owner(slot), 0u);
   EXPECT_DOUBLE_EQ(r.schedule.slot_start(slot), tx_time);
 }
 
@@ -142,20 +153,6 @@ TEST(TdmaMac, FirstAttemptFlagOnlyOnce) {
   r.sim.run_until(5.0);
   EXPECT_EQ(total, 3);
   EXPECT_EQ(firsts, 1);
-}
-
-TEST(TdmaMac, EnergyChargedPerAttemptAtSenderAndOnSuccessAtReceiver) {
-  Rig r(/*loss=*/1.0);
-  r.macs[0]->set_pre_xmit([](core::Packet&, core::NodeId,
-                             const core::LinkView&, core::Joules,
-                             bool) -> PreXmitDecision {
-    return {false, 2};
-  });
-  r.macs[0]->enqueue(r.data(), 1);
-  r.sim.run_until(5.0);
-  const double bits = r.data()->size_bits();
-  EXPECT_NEAR(r.energy.node_energy(0), 2 * r.energy.tx_energy(bits), 1e-12);
-  EXPECT_DOUBLE_EQ(r.energy.node_energy(1), 0.0);  // never decoded
 }
 
 TEST(TdmaMac, FifoOrderPreserved) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "mac/slotted.h"
+#include "phy/topology.h"
 #include "sim/random.h"
 
 namespace jtp::mac {
@@ -144,6 +147,31 @@ TEST(TdmaSchedule, SingleNodeOwnsEverySlot) {
   TdmaSchedule s(1, 0.01, 1);
   for (std::uint64_t slot = 0; slot < 20; ++slot)
     EXPECT_EQ(s.owner(slot), 0u);
+}
+
+// Classic TDMA is the identity coloring of the slot schedule: the slot
+// permutation over n colors is the node-level draw, slot for slot, and no
+// move ever recolors it.
+TEST(SlotSchedule, ClassicIsTheNodeLevelDraw) {
+  for (const std::size_t n : {1u, 9u, 1000u}) {
+    phy::Topology topo = phy::Topology::linear(n, 30.0, 40.0);
+    const SlotSchedule classic(topo, 0.01, 7, std::nullopt);
+    const TdmaSchedule draw(n, 0.01, 7);
+    for (std::uint64_t from = 0; from < 3 * n; ++from)
+      for (core::NodeId v = 0; v < n; ++v)
+        ASSERT_EQ(classic.next_owned_slot_from(v, from),
+                  draw.next_owned_slot_from(v, from))
+            << "n " << n << " node " << v << " from " << from;
+    EXPECT_DOUBLE_EQ(classic.frame_duration(), draw.frame_duration());
+
+    topo.set_position(0, {1000.0, 1000.0});
+    for (core::NodeId v = 0; v < n; ++v) ASSERT_EQ(classic.color_of(v), v);
+    const MacStats st = classic.stats();
+    EXPECT_EQ(st.recolors, 0u);
+    EXPECT_EQ(st.colors_used, n);
+    EXPECT_DOUBLE_EQ(st.reuse_factor, 1.0);
+    EXPECT_EQ(classic.coloring_stats().rebuilds, 0u);
+  }
 }
 
 }  // namespace
