@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks of the hot per-packet paths: event
-// queue, LRU cache, path monitor, reliability math, TDMA slot lookup,
-// interference coloring and its exact local repair, and the CSMA
-// contention cycle; plus the control plane's neighbor queries, routing
+// queue, LRU cache, path monitor, reliability math, random streams, TDMA
+// slot lookup, interference coloring and its exact local repair, and the
+// CSMA contention cycle; plus the control plane's neighbor queries, routing
 // refresh and whole-scenario build.
 //
 // Accepts the suite-wide --csv PATH and --jobs N flags (translated to
@@ -353,6 +353,30 @@ BENCHMARK(BM_RoutingRefresh)
     ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
+// A random stream's two costs. First use: derive a child stream and take
+// its first draw, as a new link's fading or loss stream and a node's
+// waypoint stream do (every run makes one per node and per used link).
+void BM_RngDeriveFirstDraw(benchmark::State& state) {
+  const sim::Rng master(7);
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    sim::Rng child = master.derive("link", index++);
+    benchmark::DoNotOptimize(child.uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDeriveFirstDraw);
+
+// Steady state: one uniform() on a stream already past its first block, so
+// the whole-block twist is paid once every 312 draws.
+void BM_RngDraw(benchmark::State& state) {
+  sim::Rng rng(7);
+  for (int i = 0; i < 1000; ++i) rng.uniform();
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw);
+
 // The per-MAC-attempt channel path: transmission_lost on a warm link set
 // sized like a 400-node field (~4 links/node). One iteration = one dwell
 // lookup (undirected key) + one loss-stream lookup (directed key) + one
@@ -388,7 +412,8 @@ void BM_TdmaNextOwnedSlot(benchmark::State& state) {
   mac::TdmaSchedule s(static_cast<std::size_t>(state.range(0)), 0.035, 7);
   double t = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.next_owned_slot(3, t));
+    benchmark::DoNotOptimize(
+        s.next_owned_slot_from(3, s.first_slot_from(t)));
     t += 1.37;
   }
   state.SetItemsProcessed(state.iterations());

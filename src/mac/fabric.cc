@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "mac/csma_mac.h"
 #include "mac/slotted.h"
@@ -28,8 +27,6 @@ class SlottedFabric final : public MacFabric {
                                                    id, ctx.config));
   }
 
-  MacIface& mac_of(core::NodeId id) override { return *macs_.at(id); }
-  std::size_t size() const override { return macs_.size(); }
   double node_capacity_pps() const override {
     return schedule_.node_capacity_pps();
   }
@@ -40,7 +37,6 @@ class SlottedFabric final : public MacFabric {
 
  private:
   SlotSchedule schedule_;
-  std::vector<std::unique_ptr<SlottedMac>> macs_;
 };
 
 // CSMA/CA: contention over a shared carrier; the scenario's slot duration
@@ -51,15 +47,14 @@ class CsmaFabric final : public MacFabric {
       : medium_(ctx.topo, ctx.slot_duration_s),
         unit_(ctx.slot_duration_s),
         window_slots_(static_cast<double>(1ULL << ctx.config.csma.min_be)) {
+    const sim::Rng master(ctx.seed);
     macs_.reserve(ctx.topo.size());
     for (core::NodeId id = 0; id < ctx.topo.size(); ++id)
       macs_.push_back(std::make_unique<CsmaMac>(
           ctx.sim, medium_, ctx.channel, ctx.energy, id, unit_, ctx.config,
-          sim::Rng(ctx.seed).derive("csma", id)));
+          master.derive("csma", id)));
   }
 
-  MacIface& mac_of(core::NodeId id) override { return *macs_.at(id); }
-  std::size_t size() const override { return macs_.size(); }
   // Nominal: one packet per full minimum contention window.
   double node_capacity_pps() const override {
     return 1.0 / frame_duration_s();
@@ -71,7 +66,6 @@ class CsmaFabric final : public MacFabric {
   CsmaMedium medium_;
   double unit_;
   double window_slots_;
-  std::vector<std::unique_ptr<CsmaMac>> macs_;
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "mac/mac.h"
 #include "phy/channel.h"
@@ -40,11 +41,9 @@ class MacFabric {
  public:
   virtual ~MacFabric() = default;
 
-  virtual MacIface& mac_of(core::NodeId id) = 0;
-  const MacIface& mac_of(core::NodeId id) const {
-    return const_cast<MacFabric*>(this)->mac_of(id);
-  }
-  virtual std::size_t size() const = 0;
+  MacIface& mac_of(core::NodeId id) { return *macs_.at(id); }
+  const MacIface& mac_of(core::NodeId id) const { return *macs_.at(id); }
+  std::size_t size() const { return macs_.size(); }
 
   // Nominal per-node send capacity under this discipline.
   virtual double node_capacity_pps() const = 0;
@@ -55,6 +54,10 @@ class MacFabric {
   // Slot-reuse accounting; identity values for disciplines without a
   // coloring (see MacStats).
   virtual MacStats stats() const = 0;
+
+ protected:
+  // One MAC per node, indexed by node id; each fabric fills it.
+  std::vector<std::unique_ptr<MacIface>> macs_;
 };
 
 // Builds `m`'s fabric over `ctx`.

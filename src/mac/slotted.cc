@@ -104,10 +104,8 @@ SlottedMac::SlottedMac(sim::Simulator& sim, const SlotSchedule& schedule,
 void SlottedMac::schedule_next_tx() {
   if (tx_scheduled_ || (queue_.empty() && ctrl_queue_.empty())) return;
   // One transmission per owned slot: never reuse the slot we just used.
-  const sim::Time now = sim_.now();
-  std::uint64_t from = now <= 0 ? 0 : schedule_.slot_at(now);
-  if (schedule_.slot_start(from) < now) ++from;
-  from = std::max(from, min_slot_);
+  const std::uint64_t from =
+      std::max(schedule_.first_slot_from(sim_.now()), min_slot_);
   const std::uint64_t slot = schedule_.next_owned_slot_from(self_, from);
   // A recolor may have shrunk or grown the frame since the last look.
   estimator_.set_capacity_pps(schedule_.node_capacity_pps());

@@ -58,6 +58,9 @@ class SlotSchedule {
   sim::Time slot_start(std::uint64_t slot) const {
     return slots_.slot_start(slot);
   }
+  std::uint64_t first_slot_from(sim::Time t) const {
+    return slots_.first_slot_from(t);
+  }
 
   // First slot whose owning color is `node`'s color, index >= from_slot.
   // Refreshes the coloring first.

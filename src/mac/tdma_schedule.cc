@@ -54,11 +54,10 @@ core::NodeId TdmaSchedule::owner(std::uint64_t slot) const {
   return cached_frame(slot / n_).owner[slot % n_];
 }
 
-std::uint64_t TdmaSchedule::next_owned_slot(core::NodeId node,
-                                            sim::Time t) const {
+std::uint64_t TdmaSchedule::first_slot_from(sim::Time t) const {
   std::uint64_t slot = t <= 0 ? 0 : slot_at(t);
   if (slot_start(slot) < t) ++slot;  // need slot *starting* at or after t
-  return next_owned_slot_from(node, slot);
+  return slot;
 }
 
 std::uint64_t TdmaSchedule::next_owned_slot_from(core::NodeId node,

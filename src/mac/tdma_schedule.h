@@ -34,8 +34,8 @@ class TdmaSchedule {
   // Which node owns a slot.
   core::NodeId owner(std::uint64_t slot) const;
 
-  // First slot owned by `node` whose start time is >= t.
-  std::uint64_t next_owned_slot(core::NodeId node, sim::Time t) const;
+  // First slot whose start time is >= t.
+  std::uint64_t first_slot_from(sim::Time t) const;
 
   // First slot owned by `node` with index >= from_slot.
   std::uint64_t next_owned_slot_from(core::NodeId node,

@@ -68,7 +68,7 @@ class Channel {
   struct LinkState {
     bool bad = false;
     sim::Time next_flip = 0.0;
-    sim::Rng rng;  // derived from the master by link key, seeded once
+    sim::Rng rng;  // derived from the master by link key; seeded as drawn
   };
   LinkState& state_for(core::NodeId a, core::NodeId b);
   void advance(LinkState& s, sim::Time now);

@@ -40,7 +40,7 @@ class RandomWaypoint {
   struct NodeState {
     Position target;
     bool moving = false;
-    sim::Rng rng;  // the node's derived stream, seeded once
+    sim::Rng rng;  // the node's derived stream, seeded as drawn
   };
   void begin_leg(core::NodeId id);
   void step(core::NodeId id);

@@ -5,6 +5,49 @@
 
 namespace jtp::sim {
 
+namespace {
+
+// MT19937-64's twist constants (r = 31, a) and its seeding multiplier f.
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kSeedMul = 6364136223846793005ULL;
+
+// The twisted value of a word from its old value, its successor and the
+// word the twist offset away. The matrix term is a mask, not a branch: the
+// low bit of y is a coin flip, which a branch would mispredict half the
+// time.
+inline std::uint64_t twisted(std::uint64_t word, std::uint64_t next,
+                             std::uint64_t far) {
+  const std::uint64_t y = (word & kUpperMask) | (next & kLowerMask);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+}  // namespace
+
+void Mt64::twist() {
+  if (twisted_ == kN) {
+    // A later block: the batch twist, all 312 words in index order.
+    for (std::uint32_t k = 0; k < kN - kM; ++k)
+      x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM]);
+    for (std::uint32_t k = kN - kM; k < kN - 1; ++k)
+      x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM - kN]);
+    x_[kN - 1] = twisted(x_[kN - 1], x_[0], x_[kM - 1]);
+    pos_ = 0;
+    return;
+  }
+  // The first block, one word per draw. Word k reads words k + 1 and
+  // (k + kM) mod kN, so the seeding runs on through word k + kM while that
+  // is in range; the first draw seeds words 1..kM.
+  const std::uint32_t k = twisted_;
+  if (k < kN - kM)
+    for (std::uint32_t i = k == 0 ? 1 : k + kM; i <= k + kM; ++i)
+      x_[i] = kSeedMul * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+  x_[k] = twisted(x_[k], x_[k + 1 < kN ? k + 1 : 0],
+                  x_[k < kN - kM ? k + kM : k + kM - kN]);
+  twisted_ = k + 1;
+}
+
 std::uint64_t hash_label(std::string_view label) {
   // FNV-1a, then one splitmix round for avalanche.
   std::uint64_t h = 0xcbf29ce484222325ULL;

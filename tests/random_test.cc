@@ -3,10 +3,77 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <type_traits>
 
 namespace jtp::sim {
 namespace {
+
+static_assert(sizeof(Mt64) <= sizeof(std::mt19937_64),
+              "the on-demand engine must not outgrow the standard one");
+static_assert(std::is_trivially_copyable_v<Rng>,
+              "Rng lives in PackedLinkTable slots");
+
+// Seeds that exercise the seeding recurrence's edges, and draw counts on
+// both sides of every point where the first block's on-demand seeding and
+// twisting change course (word 155 reads the last seeded word, word 311
+// wraps to word 0) and of the later batch twists.
+constexpr std::uint64_t kSeeds[] = {0, 1, 5489, 0xdeadbeef,
+                                    ~std::uint64_t{0}};
+constexpr int kPrefixes[] = {1, 155, 156, 157, 311, 312, 313, 624, 625, 10000};
+
+TEST(Mt64, MatchesTheStandardEngineOverEveryPrefix) {
+  for (std::uint64_t seed : kSeeds) {
+    for (int prefix : kPrefixes) {
+      Mt64 e(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < prefix; ++i)
+        ASSERT_EQ(e(), ref()) << "seed " << seed << " draw " << i;
+      // A copy taken here continues the sequence, across a block boundary.
+      Mt64 copy = e;
+      for (int i = 0; i < 700; ++i)
+        ASSERT_EQ(copy(), ref())
+            << "seed " << seed << " copy after " << prefix << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt64, TenThousandthDrawFromTheDefaultSeed) {
+  // The standard's required value for mt19937_64 ([rand.predef]).
+  Mt64 e(5489);
+  for (int i = 1; i < 10000; ++i) e();
+  EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+TEST(Rng, DrawsEqualTheStandardDistributionsOverTheStandardEngine) {
+  for (std::uint64_t seed : {0ULL, 7ULL, 101000000ULL}) {
+    Rng r(seed);
+    std::mt19937_64 ref(splitmix64(seed));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    // Interleaved so every kind of draw lands in the first block, across
+    // its seeding edge and in later blocks.
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(r.uniform(), unit(ref));
+      ASSERT_EQ(r.uniform(-2.0, 3.5),
+                std::uniform_real_distribution<double>(-2.0, 3.5)(ref));
+      ASSERT_EQ(r.exponential(3.0), -3.0 * std::log(unit(ref)));
+      ASSERT_EQ(r.normal(1.0, 0.5),
+                std::normal_distribution<double>(1.0, 0.5)(ref));
+      ASSERT_EQ(r.integer(1000),
+                std::uniform_int_distribution<std::uint64_t>(0, 999)(ref));
+      ASSERT_EQ(r.integer(~std::uint64_t{0}),
+                std::uniform_int_distribution<std::uint64_t>(
+                    0, ~std::uint64_t{0} - 1)(ref));
+      // Trials until the first success of the same Bernoulli draws.
+      int trials = 1;
+      while (!std::bernoulli_distribution(0.3)(ref)) ++trials;
+      ASSERT_EQ(r.geometric(0.3), trials);
+      ASSERT_EQ(r.bernoulli(0.6), std::bernoulli_distribution(0.6)(ref));
+    }
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);

@@ -57,7 +57,7 @@ TEST(TdmaSchedule, NextOwnedSlotIsOwnedAndNotBeforeT) {
   TdmaSchedule s(5, 0.01, 7);
   for (core::NodeId n = 0; n < 5; ++n) {
     for (double t : {0.0, 0.003, 0.049, 1.234, 10.0}) {
-      const auto slot = s.next_owned_slot(n, t);
+      const auto slot = s.next_owned_slot_from(n, s.first_slot_from(t));
       EXPECT_EQ(s.owner(slot), n);
       EXPECT_GE(s.slot_start(slot), t);
     }
@@ -67,7 +67,7 @@ TEST(TdmaSchedule, NextOwnedSlotIsOwnedAndNotBeforeT) {
 TEST(TdmaSchedule, NextOwnedSlotIsTheFirstSuch) {
   TdmaSchedule s(4, 0.01, 11);
   const core::NodeId n = 2;
-  const auto slot = s.next_owned_slot(n, 0.0);
+  const auto slot = s.next_owned_slot_from(n, s.first_slot_from(0.0));
   for (std::uint64_t earlier = 0; earlier < slot; ++earlier)
     EXPECT_NE(s.owner(earlier), n);
 }
@@ -96,7 +96,8 @@ TEST(TdmaSchedule, RejectsBadArgs) {
   EXPECT_THROW(TdmaSchedule(0, 0.01, 1), std::invalid_argument);
   EXPECT_THROW(TdmaSchedule(3, 0.0, 1), std::invalid_argument);
   TdmaSchedule s(3, 0.01, 1);
-  EXPECT_THROW(s.next_owned_slot(5, 0.0), std::invalid_argument);
+  EXPECT_THROW(s.next_owned_slot_from(5, s.first_slot_from(0.0)),
+               std::invalid_argument);
   EXPECT_THROW(s.slot_at(-1.0), std::invalid_argument);
 }
 
