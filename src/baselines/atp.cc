@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace jtp::baselines {
 
@@ -18,7 +19,7 @@ AtpSender::~AtpSender() { stop(); }
 
 void AtpSender::start(std::uint64_t total_packets) {
   running_ = true;
-  total_packets_ = total_packets;
+  window_.set_total(total_packets);
   arm_pacing();
   arm_silence_watchdog();
 }
@@ -64,24 +65,16 @@ void AtpSender::arm_pacing() {
 
 void AtpSender::pace() {
   if (!running_) return;
-  while (!rtx_queue_.empty()) {
-    const core::SeqNo seq = rtx_queue_.front();
-    rtx_queue_.pop_front();
-    if (!unacked_.count(seq)) continue;
+  if (const auto seq = window_.next_rtx()) {
     ++source_rtx_;
     ++data_sent_;
-    sink_.send(make_data(seq, true));
+    sink_.send(make_data(*seq, true));
     arm_pacing();
     return;
   }
-  const bool more_new =
-      (total_packets_ == 0 || next_seq_ < total_packets_) &&
-      (next_seq_ - cum_ack_) < cfg_.window_cap_packets;
-  if (more_new) {
-    const core::SeqNo seq = next_seq_++;
-    unacked_.emplace(seq, cfg_.payload_bytes);
+  if (window_.may_send_new(cfg_.window_cap_packets)) {
     ++data_sent_;
-    sink_.send(make_data(seq, false));
+    sink_.send(make_data(window_.take_new(), false));
   }
   if (!finished()) arm_pacing();
 }
@@ -91,15 +84,8 @@ void AtpSender::on_ack(const core::Packet& ack) {
   const core::AckHeader& h = *ack.ack;
   last_ack_time_ = env_.now();
 
-  cum_ack_ = std::max(cum_ack_, h.cumulative_ack);
-  unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
-
-  for (core::SeqNo seq : h.snack.missing) {
-    if (seq < cum_ack_ || !unacked_.count(seq)) continue;
-    if (std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-        rtx_queue_.end())
-      rtx_queue_.push_back(seq);
-  }
+  window_.ack_to(h.cumulative_ack);
+  for (core::SeqNo seq : h.snack.missing) window_.request(seq);
 
   // ATP rate rule: decrease to the network's reported rate immediately;
   // increase toward it only fractionally.
@@ -133,10 +119,6 @@ void AtpSender::arm_silence_watchdog() {
                                cfg_.min_rate_pps);
         arm_silence_watchdog();
       });
-}
-
-bool AtpSender::finished() const {
-  return total_packets_ != 0 && cum_ack_ >= total_packets_;
 }
 
 // --------------------------- Receiver ---------------------------

@@ -13,13 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <set>
 
 #include "core/env.h"
 #include "core/packet.h"
+#include "core/send_window.h"
 #include "core/transport.h"
 #include "core/types.h"
 
@@ -56,7 +55,7 @@ class AtpSender final : public core::TransportSender {
   void stop() override;
   void on_ack(const core::Packet& ack) override;
 
-  bool finished() const override;
+  bool finished() const override { return window_.finished(); }
   void set_on_complete(std::function<void()> cb) override {
     on_complete_ = std::move(cb);
   }
@@ -65,7 +64,7 @@ class AtpSender final : public core::TransportSender {
   std::uint64_t source_retransmissions() const override {
     return source_rtx_;
   }
-  core::SeqNo cumulative_ack() const { return cum_ack_; }
+  core::SeqNo cumulative_ack() const { return window_.cum_ack(); }
 
  private:
   void pace();
@@ -78,11 +77,7 @@ class AtpSender final : public core::TransportSender {
   AtpConfig cfg_;
 
   bool running_ = false;
-  std::uint64_t total_packets_ = 0;
-  core::SeqNo next_seq_ = 0;
-  core::SeqNo cum_ack_ = 0;
-  std::map<core::SeqNo, std::uint32_t> unacked_;
-  std::deque<core::SeqNo> rtx_queue_;
+  core::SendWindow window_;
 
   double rate_pps_;
   double last_ack_time_ = -1.0;

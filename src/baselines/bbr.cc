@@ -162,7 +162,7 @@ BbrSender::~BbrSender() { stop(); }
 
 void BbrSender::start(std::uint64_t total_packets) {
   running_ = true;
-  total_packets_ = total_packets;
+  window_.set_total(total_packets);
   arm_pacing();
   arm_rto();
 }
@@ -177,10 +177,6 @@ void BbrSender::stop() {
     env_.cancel(rto_timer_);
     rto_armed_ = false;
   }
-}
-
-std::uint64_t BbrSender::in_flight() const {
-  return unacked_.size() - sacked_.size();
 }
 
 core::PacketPtr BbrSender::make_data(core::SeqNo seq, bool rtx) {
@@ -212,16 +208,12 @@ void BbrSender::pace() {
   if (!running_) return;
   const double now = env_.now();
   // Retransmissions first (SACK-driven), then new data.
-  while (!rtx_queue_.empty()) {
-    const core::SeqNo seq = rtx_queue_.front();
-    rtx_queue_.pop_front();
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end() || sacked_.count(seq)) continue;
-    it->second = now;
+  while (const auto seq = window_.next_rtx()) {
+    if (sacked_.count(*seq)) continue;
     ++source_rtx_;
     ++data_sent_;
-    sampler_.on_sent(seq, now);  // Karn: overwrites the stale flight
-    sink_.send(make_data(seq, true));
+    sampler_.on_sent(*seq, now);  // Karn: overwrites the stale flight
+    sink_.send(make_data(*seq, true));
     arm_pacing();
     return;
   }
@@ -229,10 +221,9 @@ void BbrSender::pace() {
   const std::uint64_t cwnd =
       model_cwnd == 0 ? cfg_.window_cap_packets
                       : std::min(cfg_.window_cap_packets, model_cwnd);
-  const bool have_new = total_packets_ == 0 || next_seq_ < total_packets_;
+  const bool have_new = window_.has_new();
   if (have_new && in_flight() < cwnd) {
-    const core::SeqNo seq = next_seq_++;
-    unacked_.emplace(seq, now);
+    const core::SeqNo seq = window_.take_new();
     ++data_sent_;
     sampler_.on_sent(seq, now);
     sink_.send(make_data(seq, false));
@@ -251,7 +242,7 @@ void BbrSender::on_ack(const core::Packet& ack) {
 
   // Decode the feedback into per-seq deliveries for the sampler BEFORE
   // the bookkeeping below consumes it. Cumulative advance first …
-  for (core::SeqNo s = cum_ack_; s < h.cumulative_ack; ++s)
+  for (core::SeqNo s = window_.cum_ack(); s < h.cumulative_ack; ++s)
     sampler_.on_delivered(s, now);
   // … then SACK-implied arrivals: seqs between the cumulative ACK and the
   // highest listed hole that are NOT holes reached the receiver.
@@ -267,24 +258,18 @@ void BbrSender::on_ack(const core::Packet& ack) {
     }
     if (!missing) {
       sampler_.on_delivered(s, now);
-      if (s >= cum_ack_ && unacked_.count(s)) sacked_.insert(s);
+      if (window_.outstanding(s)) sacked_.insert(s);
     }
   }
 
-  cum_ack_ = std::max(cum_ack_, h.cumulative_ack);
-  unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
-  while (!sacked_.empty() && *sacked_.begin() < cum_ack_)
+  window_.ack_to(h.cumulative_ack);
+  while (!sacked_.empty() && *sacked_.begin() < window_.cum_ack())
     sacked_.erase(sacked_.begin());
-  sampler_.discard_below(cum_ack_);
+  sampler_.discard_below(window_.cum_ack());
 
   // SNACK.missing doubles as the SACK hole list → retransmit queue.
-  for (core::SeqNo seq : h.snack.missing) {
-    if (seq < cum_ack_ || !unacked_.count(seq) || sacked_.count(seq))
-      continue;
-    if (std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-        rtx_queue_.end())
-      rtx_queue_.push_back(seq);
-  }
+  for (core::SeqNo seq : h.snack.missing)
+    if (!sacked_.count(seq)) window_.request(seq);
 
   // One delivery-rate sample per ACK drives the model; its probe RTT also
   // feeds the RTO estimator (Karn-safe: retransmissions overwrite their
@@ -320,19 +305,12 @@ void BbrSender::arm_rto() {
 
 void BbrSender::rto_fire() {
   if (!running_ || finished()) return;
-  if (!unacked_.empty()) {
-    const core::SeqNo seq = unacked_.begin()->first;
-    if (!sacked_.count(seq) &&
-        std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-            rtx_queue_.end())
-      rtx_queue_.push_front(seq);
+  if (window_.in_flight() > 0) {
+    const core::SeqNo seq = window_.cum_ack();
+    if (!sacked_.count(seq)) window_.request(seq, /*front=*/true);
     ++timeouts_;
   }
   arm_rto();
-}
-
-bool BbrSender::finished() const {
-  return total_packets_ != 0 && cum_ack_ >= total_packets_;
 }
 
 }  // namespace jtp::baselines

@@ -31,15 +31,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <set>
 
 #include "baselines/tcp_sack.h"
 #include "core/env.h"
 #include "core/packet.h"
 #include "core/rate_sample.h"
+#include "core/send_window.h"
 #include "core/transport.h"
 #include "core/types.h"
 
@@ -137,7 +136,7 @@ class BbrSender final : public core::TransportSender {
   void stop() override;
   void on_ack(const core::Packet& ack) override;
 
-  bool finished() const override;
+  bool finished() const override { return window_.finished(); }
   void set_on_complete(std::function<void()> cb) override {
     on_complete_ = std::move(cb);
   }
@@ -151,14 +150,18 @@ class BbrSender final : public core::TransportSender {
     return source_rtx_;
   }
   std::uint64_t timeouts() const { return timeouts_; }
-  core::SeqNo cumulative_ack() const { return cum_ack_; }
+  core::SeqNo cumulative_ack() const { return window_.cum_ack(); }
 
  private:
   void pace();
   void arm_pacing();
   void arm_rto();
   void rto_fire();
-  std::uint64_t in_flight() const;
+  // Outstanding packets the receiver has not reported (SACK-implied
+  // arrivals above the cumulative ACK are not in flight).
+  std::uint64_t in_flight() const {
+    return window_.in_flight() - sacked_.size();
+  }
   core::PacketPtr make_data(core::SeqNo seq, bool rtx);
 
   core::Env& env_;
@@ -169,12 +172,8 @@ class BbrSender final : public core::TransportSender {
   BbrModel model_;
 
   bool running_ = false;
-  std::uint64_t total_packets_ = 0;
-  core::SeqNo next_seq_ = 0;
-  core::SeqNo cum_ack_ = 0;
-  std::map<core::SeqNo, double> unacked_;  // seq -> last send time
-  std::deque<core::SeqNo> rtx_queue_;
-  std::set<core::SeqNo> sacked_;           // above cum_ack, already received
+  core::SendWindow window_;
+  std::set<core::SeqNo> sacked_;  // outstanding, but already received
 
   double srtt_;
   double rttvar_;

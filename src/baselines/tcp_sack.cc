@@ -31,7 +31,7 @@ TcpSackSender::~TcpSackSender() { stop(); }
 
 void TcpSackSender::start(std::uint64_t total_packets) {
   running_ = true;
-  total_packets_ = total_packets;
+  window_.set_total(total_packets);
   arm_pacing();
   arm_rto();
 }
@@ -76,26 +76,16 @@ void TcpSackSender::arm_pacing() {
 void TcpSackSender::pace() {
   if (!running_) return;
   // Retransmissions first (SACK-driven), then new data.
-  while (!rtx_queue_.empty()) {
-    const core::SeqNo seq = rtx_queue_.front();
-    rtx_queue_.pop_front();
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;
-    it->second = env_.now();
+  if (const auto seq = window_.next_rtx()) {
     ++source_rtx_;
     ++data_sent_;
-    sink_.send(make_data(seq, true));
+    sink_.send(make_data(*seq, true));
     arm_pacing();
     return;
   }
-  const bool more_new =
-      (total_packets_ == 0 || next_seq_ < total_packets_) &&
-      (next_seq_ - cum_ack_) < cfg_.window_cap_packets;
-  if (more_new) {
-    const core::SeqNo seq = next_seq_++;
-    unacked_.emplace(seq, env_.now());
+  if (window_.may_send_new(cfg_.window_cap_packets)) {
     ++data_sent_;
-    sink_.send(make_data(seq, false));
+    sink_.send(make_data(window_.take_new(), false));
   }
   if (!finished()) arm_pacing();
 }
@@ -121,23 +111,14 @@ void TcpSackSender::on_ack(const core::Packet& ack) {
     }
   }
 
-  const core::SeqNo old_cum = cum_ack_;
-  cum_ack_ = std::max(cum_ack_, h.cumulative_ack);
-  unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
+  // Everything above the holes that the receiver implicitly covered is
+  // SACKed; we approximate by marking acked ranges via cumulative only.
+  const std::uint64_t progressed = window_.ack_to(h.cumulative_ack);
 
   // SNACK.missing doubles as the SACK hole list.
   std::uint64_t newly_lost = 0;
-  for (core::SeqNo seq : h.snack.missing) {
-    if (seq < cum_ack_ || !unacked_.count(seq)) continue;
-    if (std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-        rtx_queue_.end()) {
-      rtx_queue_.push_back(seq);
-      ++newly_lost;
-    }
-  }
-  // Everything above the holes that the receiver implicitly covered is
-  // SACKed; we approximate by marking acked ranges via cumulative only.
-  const std::uint64_t progressed = cum_ack_ - old_cum;
+  for (core::SeqNo seq : h.snack.missing)
+    if (window_.request(seq)) ++newly_lost;
 
   // Loss estimate: losses / (losses + progressed) blended by EWMA.
   const double denom = static_cast<double>(newly_lost + progressed);
@@ -169,23 +150,16 @@ void TcpSackSender::arm_rto() {
 
 void TcpSackSender::rto_fire() {
   if (!running_ || finished()) return;
-  if (!unacked_.empty()) {
+  if (window_.in_flight() > 0) {
     // Timeout: retransmit the oldest outstanding packet and take the loss
     // on the chin in the estimator (this is what makes TCP's energy story
     // bad: it *needs* these events to steer).
-    const core::SeqNo seq = unacked_.begin()->first;
-    if (std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-        rtx_queue_.end())
-      rtx_queue_.push_front(seq);
+    window_.request(window_.cum_ack(), /*front=*/true);
     ++timeouts_;
     loss_est_ = std::min(0.99, loss_est_ * 1.5 + 0.01);
     update_rate();
   }
   arm_rto();
-}
-
-bool TcpSackSender::finished() const {
-  return total_packets_ != 0 && cum_ack_ >= total_packets_;
 }
 
 // --------------------------- Receiver ---------------------------
@@ -205,12 +179,12 @@ void TcpSackReceiver::on_data(const core::Packet& p) {
     delivered_bits_ += core::bits(p.payload_bytes);
     while (out_of_order_.count(cum_ack_)) out_of_order_.erase(cum_ack_++);
   }
-  ++unacked_data_;
+  ++data_since_ack_;
   const bool out_of_order_arrival = fresh && p.seq != cum_ack_ - 1;
   // Delayed ACK: every b-th packet; immediately on reordering (dup-ack
   // analogue) so the sender learns about holes fast.
-  if (unacked_data_ >= cfg_.delayed_ack_every || out_of_order_arrival) {
-    unacked_data_ = 0;
+  if (data_since_ack_ >= cfg_.delayed_ack_every || out_of_order_arrival) {
+    data_since_ack_ = 0;
     send_ack(p.send_time);
   }
 }

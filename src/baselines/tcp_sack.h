@@ -13,13 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <set>
 
 #include "core/env.h"
 #include "core/packet.h"
+#include "core/send_window.h"
 #include "core/transport.h"
 #include "core/types.h"
 
@@ -59,7 +58,7 @@ class TcpSackSender final : public core::TransportSender {
   void stop() override;
   void on_ack(const core::Packet& ack) override;
 
-  bool finished() const override;
+  bool finished() const override { return window_.finished(); }
   void set_on_complete(std::function<void()> cb) override {
     on_complete_ = std::move(cb);
   }
@@ -71,7 +70,7 @@ class TcpSackSender final : public core::TransportSender {
     return source_rtx_;
   }
   std::uint64_t timeouts() const { return timeouts_; }
-  core::SeqNo cumulative_ack() const { return cum_ack_; }
+  core::SeqNo cumulative_ack() const { return window_.cum_ack(); }
 
  private:
   void pace();
@@ -86,11 +85,7 @@ class TcpSackSender final : public core::TransportSender {
   TcpConfig cfg_;
 
   bool running_ = false;
-  std::uint64_t total_packets_ = 0;
-  core::SeqNo next_seq_ = 0;
-  core::SeqNo cum_ack_ = 0;
-  std::map<core::SeqNo, double> unacked_;  // seq -> last send time
-  std::deque<core::SeqNo> rtx_queue_;
+  core::SendWindow window_;
 
   double rate_pps_;
   double srtt_;
@@ -134,7 +129,7 @@ class TcpSackReceiver final : public core::TransportReceiver {
   core::SeqNo cum_ack_ = 0;
   core::SeqNo horizon_ = 0;
   std::set<core::SeqNo> out_of_order_;
-  int unacked_data_ = 0;
+  int data_since_ack_ = 0;
 
   std::uint64_t delivered_ = 0;
   double delivered_bits_ = 0.0;

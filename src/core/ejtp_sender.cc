@@ -18,7 +18,7 @@ EjtpSender::~EjtpSender() { stop(); }
 
 void EjtpSender::start(std::uint64_t total_packets) {
   running_ = true;
-  total_packets_ = total_packets;
+  window_.set_total(total_packets);
   complete_reported_ = false;
   arm_pacing();
   arm_watchdog();
@@ -69,21 +69,12 @@ PacketPtr EjtpSender::make_data(SeqNo seq, bool is_rtx) {
 
 PacketPtr EjtpSender::next_packet() {
   // Source retransmissions take priority: the receiver explicitly asked.
-  while (!rtx_queue_.empty()) {
-    const SeqNo seq = rtx_queue_.front();
-    rtx_queue_.pop_front();
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;  // acked/waived meanwhile
+  if (const auto seq = window_.next_rtx()) {
     ++source_rtx_;
-    return make_data(seq, /*is_rtx=*/true);
+    return make_data(*seq, /*is_rtx=*/true);
   }
-  const bool more_new =
-      (total_packets_ == 0 || next_seq_ < total_packets_) &&
-      (next_seq_ - cum_ack_) < cfg_.window_cap_packets;
-  if (!more_new) return {};
-  const SeqNo seq = next_seq_++;
-  unacked_.emplace(seq, cfg_.payload_bytes);
-  return make_data(seq, /*is_rtx=*/false);
+  if (!window_.may_send_new(cfg_.window_cap_packets)) return {};
+  return make_data(window_.take_new(), /*is_rtx=*/false);
 }
 
 void EjtpSender::pace() {
@@ -103,15 +94,12 @@ void EjtpSender::pace() {
   // sequence horizon, so no SNACK will ever name it — only the source can
   // notice. After ~2 feedback periods without cumulative progress,
   // retransmit the oldest outstanding packet.
-  if (total_packets_ != 0 && next_seq_ >= total_packets_ &&
-      !unacked_.empty()) {
+  if (!window_.has_new() && window_.in_flight() > 0) {
     const double now = env_.now();
     const double stall = now - std::max(last_progress_time_, last_tail_rtx_);
     if (stall > 2.0 * ack_timeout_s_) {
       last_tail_rtx_ = now;
-      if (std::find(rtx_queue_.begin(), rtx_queue_.end(),
-                    unacked_.begin()->first) == rtx_queue_.end())
-        rtx_queue_.push_back(unacked_.begin()->first);
+      window_.request(window_.cum_ack());
       ++tail_rtx_;
     }
   }
@@ -127,8 +115,7 @@ void EjtpSender::on_ack(const Packet& ack) {
   // carries stale rate/energy/SNACK state and must not override a newer
   // one (its cumulative ack is monotone and harmless, but nothing else is).
   if (h.ack_serial != 0 && h.ack_serial <= last_ack_serial_) {
-    cum_ack_ = std::max(cum_ack_, h.cumulative_ack);
-    unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
+    window_.ack_to(h.cumulative_ack);
     check_complete();
     return;
   }
@@ -137,11 +124,7 @@ void EjtpSender::on_ack(const Packet& ack) {
   last_ack_time_ = env_.now();
 
   // Release everything below the cumulative ack (delivered or waived).
-  if (h.cumulative_ack > cum_ack_) {
-    cum_ack_ = h.cumulative_ack;
-    last_progress_time_ = env_.now();
-  }
-  unacked_.erase(unacked_.begin(), unacked_.lower_bound(cum_ack_));
+  if (window_.ack_to(h.cumulative_ack) > 0) last_progress_time_ = env_.now();
 
   // Adopt destination-dictated parameters (decrease fast, increase slow).
   if (h.advertised_rate_pps > 0.0) {
@@ -154,24 +137,16 @@ void EjtpSender::on_ack(const Packet& ack) {
   if (h.sender_timeout_s > 0.0) ack_timeout_s_ = h.sender_timeout_s;
 
   // Queue source retransmissions for seqs no cache could supply.
-  for (SeqNo seq : h.snack.missing) {
-    if (seq < cum_ack_ || !unacked_.count(seq)) continue;
-    if (std::find(rtx_queue_.begin(), rtx_queue_.end(), seq) ==
-        rtx_queue_.end())
-      rtx_queue_.push_back(seq);
-  }
+  for (SeqNo seq : h.snack.missing) window_.request(seq);
 
   // Fairness back-off for in-network retransmissions made on our behalf:
-  // tb = Σ s_j / r(t)  (§4.2).
+  // tb = Σ s_j / r(t)  (§4.2). Every packet of the flow carries the one
+  // configured payload, so with r in packets per second tb = N / r.
   if (!h.snack.locally_recovered.empty()) {
     local_recovered_ += h.snack.locally_recovered.size();
     if (cfg_.backoff_for_local_recovery) {
-      double bytes = 0.0;
-      for (SeqNo seq : h.snack.locally_recovered) {
-        auto it = unacked_.find(seq);
-        bytes += (it != unacked_.end()) ? it->second : cfg_.payload_bytes;
-      }
-      const double tb = (bytes / cfg_.payload_bytes) / rate_pps_;
+      const double tb =
+          static_cast<double>(h.snack.locally_recovered.size()) / rate_pps_;
       backoff_until_ = std::max(backoff_until_, env_.now() + tb);
       total_backoff_s_ += tb;
     }
@@ -207,10 +182,6 @@ void EjtpSender::watchdog_fire() {
     ++watchdog_backoffs_;
   }
   arm_watchdog();
-}
-
-bool EjtpSender::finished() const {
-  return total_packets_ != 0 && cum_ack_ >= total_packets_;
 }
 
 void EjtpSender::check_complete() {

@@ -16,12 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 
 #include "core/env.h"
 #include "core/packet.h"
+#include "core/send_window.h"
 #include "core/transport.h"
 #include "core/types.h"
 
@@ -66,7 +65,7 @@ class EjtpSender final : public TransportSender {
   // Called by the node when an ACK for this flow reaches the source.
   void on_ack(const Packet& ack) override;
 
-  bool finished() const override;
+  bool finished() const override { return window_.finished(); }
   void set_on_complete(std::function<void()> cb) override {
     on_complete_ = std::move(cb);
   }
@@ -82,8 +81,8 @@ class EjtpSender final : public TransportSender {
   std::uint64_t rate_backoffs() const { return watchdog_backoffs_; }
   std::uint64_t tail_retransmissions() const { return tail_rtx_; }
   double total_backoff_s() const { return total_backoff_s_; }
-  SeqNo next_new_seq() const { return next_seq_; }
-  SeqNo cumulative_ack() const { return cum_ack_; }
+  SeqNo next_new_seq() const { return window_.next_seq(); }
+  SeqNo cumulative_ack() const { return window_.cum_ack(); }
 
  private:
   void pace();                 // pacing-timer body: emit one packet
@@ -99,9 +98,7 @@ class EjtpSender final : public TransportSender {
   SenderConfig cfg_;
 
   bool running_ = false;
-  std::uint64_t total_packets_ = 0;  // 0 = unbounded
-  SeqNo next_seq_ = 0;
-  SeqNo cum_ack_ = 0;
+  SendWindow window_;
   double rate_pps_;
   Joules energy_budget_;
   double ack_timeout_s_;
@@ -110,8 +107,6 @@ class EjtpSender final : public TransportSender {
   double last_tail_rtx_ = 0.0;
   std::uint64_t last_ack_serial_ = 0;
 
-  std::map<SeqNo, std::uint32_t> unacked_;  // seq -> payload bytes
-  std::deque<SeqNo> rtx_queue_;             // SNACKed, pending retransmit
   double backoff_until_ = 0.0;
 
   TimerId pacing_timer_ = 0;

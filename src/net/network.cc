@@ -171,18 +171,14 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
       2.0 * path.hops * shards_[0]->fabric->frame_duration_s() * 1.5;
 
   const core::FlowId flow = next_flow_id_++;
-  flows_.register_flow(flow, hop_policy(proto));
   TransportEndpoints eps =
       make_endpoints(proto, *this, flow, src, dst, opt, path);
   auto* snd = eps.sender.get();
   auto* rcv = eps.receiver.get();
   senders_.push_back(std::move(eps.sender));
   receivers_.push_back(std::move(eps.receiver));
-
-  node(dst).attach_data_handler(
-      flow, [rcv](const core::Packet& p) { rcv->on_data(p); });
-  node(src).attach_ack_handler(
-      flow, [snd](const core::Packet& p) { snd->on_ack(p); });
+  // Data addressed to dst reaches rcv, ACKs addressed to src reach snd.
+  flows_.register_flow(flow, hop_policy(proto), snd, rcv);
 
   FlowHandle h;
   h.proto = proto;

@@ -22,14 +22,6 @@ Node::Node(core::NodeId id, mac::MacIface& mac,
   });
 }
 
-void Node::attach_data_handler(core::FlowId flow, PacketHandler h) {
-  data_handlers_[flow] = std::move(h);
-}
-
-void Node::attach_ack_handler(core::FlowId flow, PacketHandler h) {
-  ack_handlers_[flow] = std::move(h);
-}
-
 void Node::send(core::PacketPtr p) { try_send(std::move(p)); }
 
 bool Node::try_send(core::PacketPtr p) {
@@ -90,13 +82,14 @@ mac::PreXmitDecision Node::pre_xmit(core::Packet& p, core::NodeId /*next_hop*/,
 
 void Node::handle_delivery(core::PacketPtr p, core::NodeId /*from*/) {
   const bool local = (p->dst == id_);
+  const FlowEntry flow = flows_.entry(p->flow);
 
   // iJTP post-receive (Algorithm 2) runs at intermediate nodes of JTP
   // flows: cache traversing data, serve SNACKs from the cache (queued
   // toward the data destination), rewrite the ACK's locally-recovered set
   // before it continues upstream. Cache retransmissions are stack-built
   // Packet values (headers only); they enter the pool here.
-  if (!local && flows_.policy(p->flow) == HopPolicy::kIjtp) {
+  if (!local && flow.policy == HopPolicy::kIjtp) {
     ijtp_.post_rcv(*p, [this](core::Packet&& rtx) {
       return try_send(pool_.make(std::move(rtx)));
     });
@@ -108,11 +101,9 @@ void Node::handle_delivery(core::PacketPtr p, core::NodeId /*from*/) {
   }
 
   if (p->is_data()) {
-    if (auto it = data_handlers_.find(p->flow); it != data_handlers_.end())
-      it->second(*p);
-  } else {
-    if (auto it = ack_handlers_.find(p->flow); it != ack_handlers_.end())
-      it->second(*p);
+    if (flow.receiver) flow.receiver->on_data(*p);
+  } else if (flow.sender) {
+    flow.sender->on_ack(*p);
   }
 }
 

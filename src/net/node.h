@@ -6,17 +6,18 @@
 //              iJTP Algorithm 1 for JTP flows) -> air;
 //   inbound:   air -> (post-receive hook: iJTP Algorithm 2 — cache data,
 //              serve SNACKs from cache) -> local delivery or forward.
-// Which treatment a packet gets depends on its flow's hop policy,
-// looked up in the network-wide flow table.
+// Which treatment a packet gets depends on its flow's hop policy, and
+// which endpoint a local packet reaches on its flow's entry, both looked
+// up in the network-wide flow table.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/ijtp.h"
 #include "core/packet.h"
 #include "core/packet_pool.h"
+#include "core/transport.h"
 #include "core/types.h"
 #include "mac/mac.h"
 #include "routing/link_state.h"
@@ -33,19 +34,33 @@ enum class HopPolicy : std::uint8_t {
   kPlain,      // no in-network help, fixed attempts (TCP)
 };
 
-// Shared flow -> hop-policy table (one per Network).
+// One flow's entry: its hop policy and its endpoints (the sender lives
+// at the flow's source node, the receiver at its destination).
+struct FlowEntry {
+  HopPolicy policy = HopPolicy::kIjtp;
+  core::TransportSender* sender = nullptr;
+  core::TransportReceiver* receiver = nullptr;
+};
+
+// Shared flow table (one per Network), indexed by flow id: Network hands
+// ids out densely from 1. An id never registered reads kIjtp with no
+// endpoints. Written only while no simulation runs, so shards read it
+// without locks.
 class FlowTable {
  public:
-  void register_flow(core::FlowId flow, HopPolicy policy) {
-    policies_[flow] = policy;
+  void register_flow(core::FlowId flow, HopPolicy policy,
+                     core::TransportSender* sender,
+                     core::TransportReceiver* receiver) {
+    if (flow >= entries_.size()) entries_.resize(std::size_t{flow} + 1);
+    entries_[flow] = {policy, sender, receiver};
   }
-  HopPolicy policy(core::FlowId flow) const {
-    auto it = policies_.find(flow);
-    return it == policies_.end() ? HopPolicy::kIjtp : it->second;
+  FlowEntry entry(core::FlowId flow) const {
+    return flow < entries_.size() ? entries_[flow] : FlowEntry{};
   }
+  HopPolicy policy(core::FlowId flow) const { return entry(flow).policy; }
 
  private:
-  std::unordered_map<core::FlowId, HopPolicy> policies_;
+  std::vector<FlowEntry> entries_;
 };
 
 struct NodeConfig {
@@ -79,13 +94,9 @@ class Node final : public core::PacketSink {
   bool try_send(core::PacketPtr p);
 
   // Called by the network fabric when a transmission reaches this node.
+  // A data packet addressed here goes to its flow's receiver, an ACK to
+  // its flow's sender.
   void handle_delivery(core::PacketPtr p, core::NodeId from);
-
-  // Local endpoint registration. Data handler runs for data packets whose
-  // dst is this node; ack handler for ACKs whose dst is this node.
-  using PacketHandler = std::function<void(const core::Packet&)>;
-  void attach_data_handler(core::FlowId flow, PacketHandler h);
-  void attach_ack_handler(core::FlowId flow, PacketHandler h);
 
   std::uint64_t route_drops() const { return route_drops_; }
 
@@ -101,9 +112,6 @@ class Node final : public core::PacketSink {
   core::PacketPool& pool_;
   NodeConfig cfg_;
   core::IjtpModule ijtp_;
-
-  std::unordered_map<core::FlowId, PacketHandler> data_handlers_;
-  std::unordered_map<core::FlowId, PacketHandler> ack_handlers_;
 
   std::uint64_t route_drops_ = 0;
 };

@@ -40,43 +40,6 @@ double Summary::ci95_halfwidth() const {
   return t_quantile_975(n_ - 1) * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  if (alpha <= 0.0 || alpha > 1.0)
-    throw std::invalid_argument("Ewma: alpha out of (0,1]");
-}
-
-void Ewma::set_alpha(double alpha) {
-  if (alpha <= 0.0 || alpha > 1.0)
-    throw std::invalid_argument("Ewma: alpha out of (0,1]");
-  alpha_ = alpha;
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-    return;
-  }
-  value_ = (1.0 - alpha_) * value_ + alpha_ * x;
-}
-
-void TimeWeighted::update(Time now, double new_value) {
-  if (!started_) {
-    started_ = true;
-    start_ = now;
-  } else {
-    area_ += value_ * (now - last_);
-  }
-  value_ = new_value;
-  last_ = now;
-}
-
-double TimeWeighted::mean(Time now) const {
-  if (!started_ || now <= start_) return value_;
-  const double total = area_ + value_ * (now - last_);
-  return total / (now - start_);
-}
-
 double TimeSeries::sum_in_window(Time t, Time window) const {
   double s = 0.0;
   for (auto it = points_.rbegin(); it != points_.rend(); ++it) {

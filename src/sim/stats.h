@@ -1,5 +1,5 @@
-// Statistics utilities: streaming summaries, confidence intervals, EWMA,
-// time-weighted averages, counters, and time series for traces.
+// Statistics utilities: pool occupancy counters, streaming summaries,
+// confidence intervals, and time series for traces.
 #pragma once
 
 #include <cstddef>
@@ -53,39 +53,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha);
-  void add(double x);
-  void reset() { initialized_ = false; }
-  void set_alpha(double alpha);
-  double alpha() const { return alpha_; }
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-  // Seeds the average without blending (used by the flip-flop filter).
-  void force(double x) { value_ = x; initialized_ = true; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-// Time-weighted mean of a piecewise-constant signal (e.g. queue length).
-class TimeWeighted {
- public:
-  void update(Time now, double new_value);
-  double mean(Time now) const;
-
- private:
-  double value_ = 0.0;
-  double area_ = 0.0;
-  Time start_ = kTimeZero;
-  Time last_ = kTimeZero;
-  bool started_ = false;
 };
 
 // (time, value) series for plots/traces; supports windowed rate queries.

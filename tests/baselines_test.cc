@@ -1,9 +1,10 @@
-// Unit tests for the TCP-SACK and ATP baselines.
+// Unit tests for the TCP-SACK, ATP and BBR baselines.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baselines/atp.h"
+#include "baselines/bbr.h"
 #include "baselines/tcp_sack.h"
 #include "test_util.h"
 
@@ -262,6 +263,55 @@ TEST(AtpSender, SilenceBacksOffRate) {
   s.start(0);
   h.sim.run_until(30.0);  // no feedback at all
   EXPECT_LT(s.rate_pps(), 2.0);
+  s.stop();
+}
+
+// ------------------------- BBR sender -------------------------
+
+core::Packet bbr_ack(core::SeqNo cum, std::vector<core::SeqNo> holes) {
+  core::Packet ack;
+  ack.type = core::PacketType::kAck;
+  ack.flow = 1;
+  core::AckHeader& hh = ack.ack.emplace();
+  hh.cumulative_ack = cum;
+  hh.snack.missing = std::move(holes);
+  return ack;
+}
+
+std::size_t source_rtx_of(const std::vector<core::Packet>& sent,
+                          core::SeqNo seq) {
+  std::size_t n = 0;
+  for (const auto& p : sent)
+    if (p.is_source_retransmission && p.seq == seq) ++n;
+  return n;
+}
+
+TEST(BbrSender, RetransmitsEachSackHoleOnceAndNoSackedSeq) {
+  SimHarness h;
+  BbrConfig cfg;
+  cfg.flow = 1;
+  cfg.src = 0;
+  cfg.dst = 2;
+  cfg.initial_rate_pps = 2.0;  // × the startup gain: ~5.8 pps
+  BbrSender s(h.env, h.sink, cfg);
+  s.start(0);
+  h.sim.run_until(2.0);
+  ASSERT_GE(h.sink.data_count(), 8u);  // seqs 0..7 at least are out
+  // Holes at 2 and 4; 3, between them, is SACK-implied received. The
+  // duplicate report must not queue the holes twice.
+  s.on_ack(bbr_ack(2, {2, 4}));
+  s.on_ack(bbr_ack(2, {2, 4}));
+  h.sim.run_until(3.0);  // well inside the first timeout
+  EXPECT_EQ(source_rtx_of(h.sink.sent, 2), 1u);
+  EXPECT_EQ(source_rtx_of(h.sink.sent, 4), 1u);
+  EXPECT_EQ(s.source_retransmissions(), 2u);
+  // A later report naming 3 as a hole, and the timeouts of a long
+  // silence, never resend a sequence number known to be received.
+  s.on_ack(bbr_ack(2, {2, 3, 4}));
+  h.sim.run_until(30.0);
+  EXPECT_GT(s.timeouts(), 0u);
+  EXPECT_GT(source_rtx_of(h.sink.sent, 2), 1u);  // the timeout's pick
+  EXPECT_EQ(source_rtx_of(h.sink.sent, 3), 0u);
   s.stop();
 }
 

@@ -45,47 +45,6 @@ TEST(TQuantile, KnownValues) {
   EXPECT_NEAR(t_quantile_975(1000), 1.96, 1e-3);
 }
 
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.1);
-  EXPECT_FALSE(e.initialized());
-  e.add(5.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-}
-
-TEST(Ewma, BlendsTowardSamples) {
-  Ewma e(0.5);
-  e.add(0.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.5);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), std::invalid_argument);
-  EXPECT_THROW(Ewma(1.5), std::invalid_argument);
-}
-
-TEST(Ewma, ForceSeedsWithoutBlend) {
-  Ewma e(0.1);
-  e.force(42.0);
-  EXPECT_DOUBLE_EQ(e.value(), 42.0);
-}
-
-TEST(TimeWeighted, PiecewiseConstantMean) {
-  TimeWeighted tw;
-  tw.update(0.0, 2.0);   // value 2 on [0, 10)
-  tw.update(10.0, 6.0);  // value 6 on [10, 20)
-  EXPECT_DOUBLE_EQ(tw.mean(20.0), 4.0);
-}
-
-TEST(TimeWeighted, BeforeStartReturnsCurrent) {
-  TimeWeighted tw;
-  tw.update(5.0, 3.0);
-  EXPECT_DOUBLE_EQ(tw.mean(5.0), 3.0);
-}
-
 TEST(TimeSeries, WindowSum) {
   TimeSeries ts;
   ts.add(1.0, 1.0);

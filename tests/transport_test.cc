@@ -57,8 +57,54 @@ TEST(Registry, HopPoliciesAndCachingMatchTheProtocols) {
 TEST(FlowTable, DefaultsToIjtpPolicy) {
   net::FlowTable table;
   EXPECT_EQ(table.policy(42), HopPolicy::kIjtp);
-  table.register_flow(42, HopPolicy::kRateStamp);
+  EXPECT_EQ(table.entry(42).sender, nullptr);
+  EXPECT_EQ(table.entry(42).receiver, nullptr);
+  table.register_flow(42, HopPolicy::kRateStamp, nullptr, nullptr);
   EXPECT_EQ(table.policy(42), HopPolicy::kRateStamp);
+  // Ids below and above a registered one stay unregistered.
+  EXPECT_EQ(table.policy(41), HopPolicy::kIjtp);
+  EXPECT_EQ(table.policy(43), HopPolicy::kIjtp);
+}
+
+TEST(FlowTable, DispatchesLocalPacketsToTheFlowsEndpoints) {
+  // A data packet addressed to a node reaches its flow's receiver, an ACK
+  // its flow's sender: the endpoints add_flow registered, no other flow's.
+  exp::ScenarioSpec sc;
+  sc.net_size = 3;
+  sc.fading = false;
+  sc.loss_good = 0.0;
+  auto s = exp::build(sc);
+  net::Network& net = *s.network;
+  const auto a = net.add_flow(Proto::kTcp, 0, 2);
+  const auto b = net.add_flow(Proto::kTcp, 0, 2);
+  ASSERT_EQ(b.id, a.id + 1);  // ids are dense
+
+  core::Packet data;
+  data.type = core::PacketType::kData;
+  data.flow = b.id;
+  data.src = 0;
+  data.dst = 2;
+  data.seq = 5;
+  net.node(2).handle_delivery(net.packet_pool().make(core::Packet(data)), 1);
+  EXPECT_EQ(a.receiver->delivered_packets(), 0u);
+  EXPECT_EQ(b.receiver->delivered_packets(), 1u);
+
+  core::Packet ack;
+  ack.type = core::PacketType::kAck;
+  ack.flow = a.id;
+  ack.src = 2;
+  ack.dst = 0;
+  ack.ack.emplace().cumulative_ack = 3;
+  net.node(0).handle_delivery(net.packet_pool().make(core::Packet(ack)), 1);
+  EXPECT_EQ(a.sender_as<baselines::TcpSackSender>()->cumulative_ack(), 3u);
+  EXPECT_EQ(b.sender_as<baselines::TcpSackSender>()->cumulative_ack(), 0u);
+
+  // A flow id never registered reaches no endpoint.
+  data.flow = b.id + 1;
+  data.seq = 6;
+  net.node(2).handle_delivery(net.packet_pool().make(core::Packet(data)), 1);
+  EXPECT_EQ(a.receiver->delivered_packets() + b.receiver->delivered_packets(),
+            1u);
 }
 
 TEST(AddFlow, RejectsOutOfRangeEndpoints) {

@@ -20,10 +20,12 @@ JOBS=${3:-0}
 
 # micro_perf and scale_sweep are excluded: their output includes
 # wall-clock timings, which are machine-dependent and meaningless to
-# diff against a committed baseline.
+# diff against a committed baseline. fig_modern_cc is the one bench that
+# runs jtp_dr and bbr, so it is what gates them.
 BENCHES="fig03_reliability fig04_caching fig05_backoff fig06_cache_size \
 fig07_feedback fig08_adaptation fig09_linear fig10_random fig11_mobility \
-table2_testbed analysis_caching_gain ablation_flipflop ablation_snack_rewrite"
+table2_testbed analysis_caching_gain ablation_flipflop ablation_snack_rewrite \
+fig_modern_cc"
 
 mkdir -p "$OUT"
 for b in $BENCHES; do
