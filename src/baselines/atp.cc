@@ -151,13 +151,7 @@ void AtpReceiver::on_data(const core::Packet& p) {
   assert(p.is_data() && p.flow == cfg_.flow);
   saw_data_ = true;
   last_echo_time_ = p.send_time;
-  horizon_ = std::max(horizon_, p.seq + 1);
-  if (p.seq >= cum_ack_ && !out_of_order_.count(p.seq)) {
-    out_of_order_.insert(p.seq);
-    ++delivered_;
-    delivered_bits_ += core::bits(p.payload_bytes);
-    while (out_of_order_.count(cum_ack_)) out_of_order_.erase(cum_ack_++);
-  }
+  if (tracker_.receive(p.seq)) delivered_bits_ += core::bits(p.payload_bytes);
   if (std::isfinite(p.available_rate_pps)) {
     if (!rate_init_) {
       rate_ewma_ = p.available_rate_pps;
@@ -181,14 +175,12 @@ void AtpReceiver::feedback_tick() {
     ack->header_override_bytes = kAtpAckHeaderBytes;
 
     core::AckHeader& h = ack->ack.emplace();
-    h.cumulative_ack = cum_ack_;
+    h.cumulative_ack = tracker_.cumulative_ack();
     h.advertised_rate_pps = rate_init_ ? rate_ewma_ : 0.0;
     h.echo_send_time = last_echo_time_;
     h.sender_timeout_s = cfg_.feedback_period_s;
     h.ack_serial = ++ack_serial_;
-    for (core::SeqNo s = cum_ack_;
-         s < horizon_ && h.snack.missing.size() < cfg_.max_holes_per_ack; ++s)
-      if (!out_of_order_.count(s)) h.snack.missing.push_back(s);
+    tracker_.missing_after_waive(h.snack.missing, cfg_.max_holes_per_ack);
 
     ++acks_sent_;
     sink_.send(std::move(ack));

@@ -14,11 +14,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 
 #include "core/env.h"
 #include "core/packet.h"
 #include "core/send_window.h"
+#include "core/seq_tracker.h"
 #include "core/transport.h"
 #include "core/types.h"
 
@@ -104,7 +104,9 @@ class AtpReceiver final : public core::TransportReceiver {
   void stop() override;
   void on_data(const core::Packet& p) override;
 
-  std::uint64_t delivered_packets() const override { return delivered_; }
+  std::uint64_t delivered_packets() const override {
+    return tracker_.received_count();
+  }
   double delivered_payload_bits() const override { return delivered_bits_; }
   std::uint64_t acks_sent() const override { return acks_sent_; }
   double smoothed_rate_pps() const { return rate_ewma_; }
@@ -116,9 +118,7 @@ class AtpReceiver final : public core::TransportReceiver {
   core::PacketSink& sink_;
   AtpConfig cfg_;
 
-  core::SeqNo cum_ack_ = 0;
-  core::SeqNo horizon_ = 0;
-  std::set<core::SeqNo> out_of_order_;
+  core::SeqTracker tracker_;  // tolerance 0: full reliability
   double rate_ewma_ = 0.0;
   bool rate_init_ = false;
   bool saw_data_ = false;
@@ -128,7 +128,6 @@ class AtpReceiver final : public core::TransportReceiver {
   core::TimerId timer_ = 0;
   bool timer_armed_ = false;
 
-  std::uint64_t delivered_ = 0;
   double delivered_bits_ = 0.0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t ack_serial_ = 0;

@@ -170,17 +170,11 @@ TcpSackReceiver::TcpSackReceiver(core::Env& env, core::PacketSink& sink,
 
 void TcpSackReceiver::on_data(const core::Packet& p) {
   assert(p.is_data() && p.flow == cfg_.flow);
-  horizon_ = std::max(horizon_, p.seq + 1);
-  bool fresh = false;
-  if (p.seq >= cum_ack_ && !out_of_order_.count(p.seq)) {
-    out_of_order_.insert(p.seq);
-    fresh = true;
-    delivered_ += 1;
-    delivered_bits_ += core::bits(p.payload_bytes);
-    while (out_of_order_.count(cum_ack_)) out_of_order_.erase(cum_ack_++);
-  }
+  const bool fresh = tracker_.receive(p.seq);
+  if (fresh) delivered_bits_ += core::bits(p.payload_bytes);
   ++data_since_ack_;
-  const bool out_of_order_arrival = fresh && p.seq != cum_ack_ - 1;
+  const bool out_of_order_arrival =
+      fresh && p.seq != tracker_.cumulative_ack() - 1;
   // Delayed ACK: every b-th packet; immediately on reordering (dup-ack
   // analogue) so the sender learns about holes fast.
   if (data_since_ack_ >= cfg_.delayed_ack_every || out_of_order_arrival) {
@@ -199,13 +193,11 @@ void TcpSackReceiver::send_ack(double echo_time) {
   ack->header_override_bytes = kTcpAckHeaderBytes;
 
   core::AckHeader& h = ack->ack.emplace();
-  h.cumulative_ack = cum_ack_;
+  h.cumulative_ack = tracker_.cumulative_ack();
   h.echo_send_time = echo_time;
   h.ack_serial = ++ack_serial_;
-  // SACK holes: missing seqs between cum_ack_ and horizon_ (capped).
-  for (core::SeqNo s = cum_ack_; s < horizon_ && h.snack.missing.size() < 16;
-       ++s)
-    if (!out_of_order_.count(s)) h.snack.missing.push_back(s);
+  // SACK holes: the lowest 16 missing seqs above the cumulative ACK.
+  tracker_.missing_after_waive(h.snack.missing, 16);
 
   ++acks_sent_;
   sink_.send(std::move(ack));

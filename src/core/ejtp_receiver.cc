@@ -151,21 +151,13 @@ void EjtpReceiver::send_feedback(bool triggered) {
   tracker_.missing_after_waive(snack_scratch_, 2 * cfg_.max_snack_entries,
                                reorder);
   for (SeqNo seq : snack_scratch_) {
-    auto [it, fresh] = snack_requested_at_.try_emplace(seq, -1e18);
-    if (!fresh && now - it->second < retry_interval) continue;
-    it->second = now;
+    double& requested_at = tracker_.requested_at(seq);
+    if (now - requested_at < retry_interval) continue;
+    requested_at = now;
     h.snack.missing.push_back(seq);
     if (h.snack.missing.size() >= cfg_.max_snack_entries) break;
   }
   h.cumulative_ack = tracker_.cumulative_ack();
-  // Prune bookkeeping below the cumulative ack (delivered or waived).
-  for (auto it = snack_requested_at_.begin(); it != snack_requested_at_.end();) {
-    if (it->first < h.cumulative_ack) {
-      it = snack_requested_at_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   h.advertised_rate_pps = advertised;
   h.energy_budget = energy_ctl_.budget();
   h.sender_timeout_s = current_feedback_period();

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/energy_controller.h"
@@ -112,7 +111,6 @@ class EjtpReceiver final : public TransportReceiver {
   EnergyBudgetController energy_ctl_;
   RateController controller_;
 
-  std::unordered_map<SeqNo, double> snack_requested_at_;
   std::vector<SeqNo> snack_scratch_;  // reused per feedback; no realloc
 
   bool running_ = false;

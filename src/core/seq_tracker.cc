@@ -1,6 +1,6 @@
 #include "core/seq_tracker.h"
 
-#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace jtp::core {
@@ -11,70 +11,31 @@ SeqTracker::SeqTracker(double loss_tolerance) : tolerance_(loss_tolerance) {
 }
 
 bool SeqTracker::receive(SeqNo seq) {
-  if (seq < base_ || out_of_order_.count(seq) || waived_.count(seq)) {
+  if (seq < base_ || (seq < horizon_ && cell(seq).state != State::kMissing)) {
     ++duplicates_;
     return false;
   }
   ++arrivals_;
-  // Seqs skipped over by this arrival become gaps, stamped with the
-  // current arrival count so reordering tolerance can be measured.
-  if (seq > horizon_) {
-    for (SeqNo s = horizon_; s < seq; ++s) gap_noticed_at_.emplace(s, arrivals_);
+  if (seq >= horizon_) {
+    if (seq - base_ >= ring_.size()) grow(seq + 1 - base_);
+    // Seqs skipped over by this arrival become gaps, stamped with the
+    // current arrival count so reordering tolerance can be measured.
+    for (; horizon_ <= seq; ++horizon_)
+      cell(horizon_) = {arrivals_, -std::numeric_limits<double>::infinity(),
+                        State::kMissing};
   }
-  horizon_ = std::max(horizon_, seq + 1);
-  gap_noticed_at_.erase(seq);  // a filled gap is no longer a gap
-  out_of_order_.insert(seq);
+  cell(seq).state = State::kReceived;
   ++received_;
   advance_base();
   return true;
 }
 
-void SeqTracker::advance_base() {
-  while (true) {
-    if (auto it = out_of_order_.find(base_); it != out_of_order_.end()) {
-      out_of_order_.erase(it);
-      ++base_;
-      continue;
-    }
-    if (auto it = waived_.find(base_); it != waived_.end()) {
-      waived_.erase(it);
-      ++base_;
-      continue;
-    }
-    break;
-  }
-  gap_noticed_at_.erase(gap_noticed_at_.begin(),
-                        gap_noticed_at_.lower_bound(base_));
-}
-
-bool SeqTracker::can_waive_one() const {
-  // Waiving one more keeps waived/(received+waived+1) <= tolerance.
-  const double total =
-      static_cast<double>(received_ + waived_count_ + 1);
-  return (static_cast<double>(waived_count_) + 1.0) <= tolerance_ * total;
-}
-
-void SeqTracker::missing_after_waive(std::vector<SeqNo>& out,
-                                     std::size_t max_count,
-                                     int reorder_threshold) {
-  out.clear();  // capacity retained: a reused buffer never reallocates
-  for (SeqNo s = base_; s < horizon_ && out.size() < max_count; ++s) {
-    if (out_of_order_.count(s) || waived_.count(s)) continue;
-    if (reorder_threshold > 0) {
-      const auto it = gap_noticed_at_.find(s);
-      const std::uint64_t since =
-          it == gap_noticed_at_.end() ? arrivals_ : arrivals_ - it->second;
-      // Too few later arrivals: the packet may simply still be in flight.
-      if (since < static_cast<std::uint64_t>(reorder_threshold)) continue;
-    }
-    if (can_waive_one()) {
-      waived_.insert(s);
-      ++waived_count_;
-      continue;
-    }
-    out.push_back(s);
-  }
-  advance_base();
+void SeqTracker::grow(SeqNo live) {
+  std::size_t size = ring_.empty() ? 16 : 2 * ring_.size();
+  while (size < live) size *= 2;
+  std::vector<Cell> ring(size);
+  for (SeqNo s = base_; s < horizon_; ++s) ring[s & (size - 1)] = cell(s);
+  ring_.swap(ring);
 }
 
 std::vector<SeqNo> SeqTracker::missing_after_waive(std::size_t max_count,
@@ -87,7 +48,7 @@ std::vector<SeqNo> SeqTracker::missing_after_waive(std::size_t max_count,
 std::vector<SeqNo> SeqTracker::missing() const {
   std::vector<SeqNo> out;
   for (SeqNo s = base_; s < horizon_; ++s)
-    if (!out_of_order_.count(s) && !waived_.count(s)) out.push_back(s);
+    if (cell(s).state == State::kMissing) out.push_back(s);
   return out;
 }
 

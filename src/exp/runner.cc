@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 namespace jtp::exp {
@@ -80,14 +79,6 @@ void TablePrinter::row(std::ostream& os,
   os << '\n';
 }
 
-void TablePrinter::row(std::ostream& os,
-                       const std::vector<double>& cells) const {
-  std::vector<std::string> s;
-  s.reserve(cells.size());
-  for (double v : cells) s.push_back(fmt(v));
-  row(os, s);
-}
-
 namespace {
 
 std::vector<std::string> column_names(const std::vector<sim::Column>& cols) {
@@ -144,19 +135,6 @@ bool Report::finish() {
     if (ok) os_ << "series written to " << csv_path_ << '\n';
   }
   return ok;
-}
-
-std::string fmt(double v, int precision) {
-  std::ostringstream os;
-  os << std::setprecision(precision) << std::fixed << v;
-  return os.str();
-}
-
-std::string with_ci(const Aggregate& a, int precision) {
-  std::ostringstream os;
-  os << std::setprecision(precision) << std::fixed << a.mean << " ±"
-     << a.ci95;
-  return os.str();
 }
 
 }  // namespace jtp::exp

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -82,7 +83,6 @@ class TablePrinter {
   explicit TablePrinter(std::vector<std::string> columns, int width = 14);
   void header(std::ostream& os) const;
   void row(std::ostream& os, const std::vector<std::string>& cells) const;
-  void row(std::ostream& os, const std::vector<double>& cells) const;
 
  private:
   std::vector<std::string> cols_;
@@ -128,9 +128,5 @@ class Report {
   std::optional<std::ofstream> csv_;
   bool finished_ = false;
 };
-
-// "12.3 ±0.4" formatting helper.
-std::string with_ci(const Aggregate& a, int precision = 3);
-std::string fmt(double v, int precision = 3);
 
 }  // namespace jtp::exp

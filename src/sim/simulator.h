@@ -94,10 +94,8 @@ class Simulator {
   }
 
   // The owner whose event is currently executing (0 outside the run
-  // loop). Settable for tests and setup code that schedules on behalf of
-  // a specific owner.
+  // loop).
   std::uint32_t context() const { return ctx_; }
-  void set_context(std::uint32_t owner) { ctx_ = owner; }
 
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -114,14 +112,6 @@ class Simulator {
 
   // Time of the earliest pending event. Requires pending().
   Time next_time() const { return queue_.next_time(); }
-
-  // Advances the clock without executing anything (t >= now()); the
-  // sharded runner uses it to land every shard exactly on the barrier.
-  void advance_to(Time t) {
-    if (t < now_)
-      throw std::invalid_argument("Simulator::advance_to: time in the past");
-    now_ = t;
-  }
 
   // Drops all pending events and rewinds the clock to zero. Pooled event
   // slots and spill blocks are retained, so a reset-and-rerun reuses the

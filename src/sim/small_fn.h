@@ -146,8 +146,6 @@ class SmallFn {
     pool_ = nullptr;
   }
 
-  bool spilled() const { return pool_ != nullptr; }
-
  private:
   struct VTable {
     void (*invoke)(void*);

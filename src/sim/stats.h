@@ -27,8 +27,6 @@ struct PoolStats {
   // Requests too large for the pool's block size, served by plain
   // operator new (must stay zero in steady state).
   std::uint64_t oversize_allocs = 0;
-
-  std::size_t free_count() const { return capacity - in_use; }
 };
 
 // Streaming mean/variance via Welford's algorithm.

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -89,58 +88,6 @@ void Series::write_csv_row(std::ostream& os,
     first = false;
   }
   os << '\n';
-}
-
-void Series::write_csv(std::ostream& os) const {
-  write_csv_header(os);
-  for (const auto& row : rows_) write_csv_row(os, row);
-}
-
-bool Series::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> cols)
-    : out_(path), n_cols_(cols.size()) {
-  bool first = true;
-  for (const auto& c : cols) {
-    if (!first) out_ << ',';
-    out_ << csv_escape(c);
-    first = false;
-  }
-  out_ << '\n';
-}
-
-CsvWriter::CsvWriter(const std::string& path,
-                     std::initializer_list<std::string> cols)
-    : CsvWriter(path, std::vector<std::string>(cols)) {}
-
-void CsvWriter::row(std::initializer_list<double> values) {
-  if (values.size() != n_cols_)
-    throw std::invalid_argument("CsvWriter::row: column count mismatch");
-  bool first = true;
-  for (double v : values) {
-    if (!first) out_ << ',';
-    out_ << v;
-    first = false;
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::row(const std::vector<std::string>& values) {
-  if (values.size() != n_cols_)
-    throw std::invalid_argument("CsvWriter::row: column count mismatch");
-  bool first = true;
-  for (const auto& v : values) {
-    if (!first) out_ << ',';
-    out_ << csv_escape(v);
-    first = false;
-  }
-  out_ << '\n';
 }
 
 }  // namespace jtp::sim

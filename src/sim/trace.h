@@ -2,15 +2,13 @@
 //
 // Series is the one description of a result table that every consumer
 // shares: the exp-layer Report renders it as a paper-style stdout table,
-// and write_csv() emits the machine-checkable form that the committed
+// and streams the machine-checkable CSV form that the committed
 // bench/baselines/ CSVs (and tools/compare_bench_csv.py) consume. A
 // CI-bearing column renders as "mean ±hw" in tables but expands into two
 // CSV columns (`name`, `name_ci95`) so the tolerance checker can use the
 // half-width instead of guessing a band.
 #pragma once
 
-#include <fstream>
-#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <type_traits>
@@ -79,36 +77,15 @@ class Series {
   // its half-width serializes as 0).
   void append(std::vector<Cell> row);
 
-  // Header + all rows, escaped; CI columns expand to `name`,`name_ci95`.
-  void write_csv(std::ostream& os) const;
-  // The two building blocks of write_csv, exposed so streaming consumers
-  // (exp::Report) emit byte-identical CSV without buffering twice.
+  // The CSV, streamed a line at a time (exp::Report writes each row as it
+  // arrives): the escaped header, where CI columns expand to
+  // `name`,`name_ci95`, then one line per row.
   void write_csv_header(std::ostream& os) const;
   void write_csv_row(std::ostream& os, const std::vector<Cell>& row) const;
-  // Convenience: open `path`, write, return false on I/O failure.
-  bool write_csv_file(const std::string& path) const;
 
  private:
   std::vector<Column> cols_;
   std::vector<std::vector<Cell>> rows_;
-};
-
-// Streaming CSV writer for incremental traces (e.g. per-sample monitor
-// dumps) that would be wasteful to buffer in a Series. Escapes text rows.
-class CsvWriter {
- public:
-  // Opens `path` for writing and emits the header row.
-  CsvWriter(const std::string& path, std::vector<std::string> cols);
-  CsvWriter(const std::string& path, std::initializer_list<std::string> cols);
-
-  void row(std::initializer_list<double> values);
-  void row(const std::vector<std::string>& values);
-
-  bool ok() const { return static_cast<bool>(out_); }
-
- private:
-  std::ofstream out_;
-  std::size_t n_cols_;
 };
 
 }  // namespace jtp::sim

@@ -154,6 +154,37 @@ TEST(TcpReceiver, OutOfOrderAcksImmediately) {
   EXPECT_FALSE(ack.ack->snack.missing.empty());
 }
 
+// Every odd sequence number up to 59 is a hole. Each out-of-order arrival
+// ACKs at once, and its SACK list names the lowest 16 holes, ascending.
+TEST(TcpReceiver, SackListsTheFirst16HolesAboveTheCumulativeAck) {
+  SimHarness h;
+  TcpSackReceiver r(h.env, h.sink, tcp_cfg());
+  core::Packet p;
+  p.type = core::PacketType::kData;
+  p.flow = 1;
+  for (core::SeqNo s = 0; s <= 60; s += 2) {
+    p.seq = s;
+    r.on_data(p);
+  }
+  std::vector<core::SeqNo> holes;
+  for (core::SeqNo s = 1; s < 32; s += 2) holes.push_back(s);
+  ASSERT_TRUE(h.sink.sent.back().ack.has_value());
+  EXPECT_EQ(h.sink.sent.back().ack->cumulative_ack, 1u);
+  EXPECT_EQ(h.sink.sent.back().ack->snack.missing, holes);
+
+  // Filling hole 1 moves the cumulative ACK to 3; the list slides with it.
+  p.seq = 1;
+  r.on_data(p);
+  holes.erase(holes.begin());
+  holes.push_back(33);
+  EXPECT_EQ(h.sink.sent.back().ack->cumulative_ack, 3u);
+  EXPECT_EQ(h.sink.sent.back().ack->snack.missing, holes);
+  // A duplicate below the cumulative ACK delivers nothing new.
+  p.seq = 0;
+  r.on_data(p);
+  EXPECT_EQ(r.delivered_packets(), 32u);
+}
+
 // ------------------------- ATP endpoints -------------------------
 
 AtpConfig atp_cfg() {
@@ -204,6 +235,46 @@ TEST(AtpReceiver, SmoothsStampedRate) {
     r.on_data(p);
   }
   EXPECT_NEAR(r.smoothed_rate_pps(), 6.0, 0.5);
+  r.stop();
+}
+
+// Two holes in every three sequence numbers: the periodic feedback lists
+// the lowest max_holes_per_ack of them, ascending. A cap of 40 is past
+// the SNACK list's inline capacity.
+TEST(AtpReceiver, FeedbackListsAtMostMaxHolesPerAckHoles) {
+  SimHarness h;
+  auto cfg = atp_cfg();
+  cfg.max_holes_per_ack = 40;
+  AtpReceiver r(h.env, h.sink, cfg);
+  r.start();
+  core::Packet p;
+  p.type = core::PacketType::kData;
+  p.flow = 1;
+  for (core::SeqNo s = 0; s <= 90; s += 3) {
+    p.seq = s;
+    r.on_data(p);
+  }
+  h.sim.run_until(cfg.feedback_period_s + 0.5);
+  ASSERT_EQ(h.sink.ack_count(), 1u);
+  std::vector<core::SeqNo> holes;
+  for (core::SeqNo s = 1; holes.size() < 40; ++s)
+    if (s % 3 != 0) holes.push_back(s);
+  EXPECT_EQ(h.sink.sent.back().ack->cumulative_ack, 1u);
+  EXPECT_EQ(h.sink.sent.back().ack->snack.missing, holes);
+
+  // Filling 1 and 2 moves the cumulative ACK to 4, past received 3.
+  p.seq = 1;
+  r.on_data(p);
+  p.seq = 2;
+  r.on_data(p);
+  h.sim.run_until(2 * cfg.feedback_period_s + 0.5);
+  ASSERT_EQ(h.sink.ack_count(), 2u);
+  holes.erase(holes.begin(), holes.begin() + 2);
+  holes.push_back(61);
+  holes.push_back(62);
+  EXPECT_EQ(h.sink.sent.back().ack->cumulative_ack, 4u);
+  EXPECT_EQ(h.sink.sent.back().ack->snack.missing, holes);
+  EXPECT_EQ(r.delivered_packets(), 33u);
   r.stop();
 }
 

@@ -1,6 +1,9 @@
 // Unit tests for the eJTP endpoints against a captured sink (no network).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/ejtp_receiver.h"
 #include "core/ejtp_sender.h"
 #include "test_util.h"
@@ -377,6 +380,34 @@ TEST(EjtpReceiver, LossToleranceWaivesGaps) {
   EXPECT_TRUE(ack.ack->snack.missing.empty());
   EXPECT_EQ(ack.ack->cumulative_ack, 10u);
   EXPECT_EQ(r.waived_packets(), 1u);
+  r.stop();
+}
+
+// Feedback every second, retry interval 3.5 s: a hole named at t = 1 is
+// left out of the ACKs at t = 2, 3 and 4 and named again at t = 5. A hole
+// that appears later keeps its own spacing.
+TEST(EjtpReceiver, SnackRepeatsAMissingSeqOnlyAfterTheRetryInterval) {
+  SimHarness h;
+  auto cfg = receiver_cfg();
+  cfg.feedback_mode = FeedbackMode::kConstant;
+  cfg.constant_feedback_rate_pps = 1.0;
+  cfg.snack_retry_interval_s = 3.5;
+  cfg.reorder_threshold = 0;
+  EjtpReceiver r(h.env, h.sink, cfg);
+  r.start();
+  const double no_stamp = std::numeric_limits<double>::infinity();
+  for (SeqNo s : {0, 1, 3}) r.on_data(data_at(1, s, no_stamp));  // hole 2
+  h.sim.run_until(2.5);
+  for (SeqNo s : {5, 6}) r.on_data(data_at(1, s, no_stamp));  // hole 4
+  h.sim.run_until(9.5);
+  ASSERT_EQ(h.sink.ack_count(), 9u);
+  const std::vector<std::vector<SeqNo>> expected = {
+      {2}, {}, {4}, {}, {2}, {}, {4}, {}, {2}};  // ACKs at t = 1 .. 9
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(h.sink.sent[i].ack.has_value());
+    EXPECT_EQ(h.sink.sent[i].ack->cumulative_ack, 2u) << "ack " << i;
+    EXPECT_EQ(h.sink.sent[i].ack->snack.missing, expected[i]) << "ack " << i;
+  }
   r.stop();
 }
 

@@ -417,14 +417,6 @@ TEST(Metrics, EnergyPerBitGuardsZeroDelivery) {
   EXPECT_DOUBLE_EQ(m.delivered_kbit(), 1e3);
 }
 
-TEST(Runner, FormatHelpers) {
-  EXPECT_EQ(fmt(1.23456, 2), "1.23");
-  Aggregate a{2.5, 0.5, 3};
-  const auto s = with_ci(a, 1);
-  EXPECT_NE(s.find("2.5"), std::string::npos);
-  EXPECT_NE(s.find("0.5"), std::string::npos);
-}
-
 TEST(Runner, SeedForRunIsOrderIndependent) {
   EXPECT_EQ(seed_for_run(1, 0), 1001u);
   EXPECT_EQ(seed_for_run(1, 3), 4001u);

@@ -1,12 +1,9 @@
-// Tests for packet formats, header sizes, and the CSV trace writer.
+// Tests for packet formats and header sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
 #include "core/packet.h"
-#include "sim/trace.h"
 
 namespace jtp::core {
 namespace {
@@ -109,35 +106,3 @@ TEST(PacketHeaderSplit, HeaderSliceKeepsHotFieldsOnly) {
 
 }  // namespace
 }  // namespace jtp::core
-
-namespace jtp::sim {
-namespace {
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "/tmp/jtp_csv_test.csv";
-  {
-    CsvWriter w(path, {"a", "b", "c"});
-    w.row({1.0, 2.5, 3.0});
-    w.row(std::vector<std::string>{"x", "y", "z"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b,c");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2.5,3");
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y,z");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RejectsColumnMismatch) {
-  const std::string path = "/tmp/jtp_csv_test2.csv";
-  CsvWriter w(path, {"a", "b"});
-  EXPECT_THROW(w.row({1.0}), std::invalid_argument);
-  EXPECT_THROW(w.row({1.0, 2.0, 3.0}), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-}  // namespace
-}  // namespace jtp::sim

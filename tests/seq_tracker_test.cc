@@ -3,8 +3,144 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
+
 namespace jtp::core {
 namespace {
+
+// A tracker written with ordered sets and a map, one entry per received,
+// waived or gap-stamped sequence number at or above the cumulative ACK.
+// It states the tracker's contract plainly; the ring-backed SeqTracker
+// must answer every call exactly like it.
+class SetReferenceTracker {
+ public:
+  explicit SetReferenceTracker(double tolerance) : tolerance_(tolerance) {}
+
+  bool receive(SeqNo seq) {
+    if (seq < base_ || received_set_.count(seq) || waived_set_.count(seq)) {
+      ++duplicates_;
+      return false;
+    }
+    ++arrivals_;
+    for (SeqNo s = horizon_; s < seq; ++s) gap_at_.emplace(s, arrivals_);
+    horizon_ = std::max(horizon_, seq + 1);
+    gap_at_.erase(seq);
+    received_set_.insert(seq);
+    ++received_;
+    advance_base();
+    return true;
+  }
+
+  std::vector<SeqNo> missing_after_waive(std::size_t cap, int threshold) {
+    std::vector<SeqNo> out;
+    for (SeqNo s = base_; s < horizon_ && out.size() < cap; ++s) {
+      if (received_set_.count(s) || waived_set_.count(s)) continue;
+      if (threshold > 0 &&
+          arrivals_ - gap_at_.at(s) < static_cast<std::uint64_t>(threshold))
+        continue;
+      const double total = static_cast<double>(received_ + waived_ + 1);
+      if (static_cast<double>(waived_) + 1.0 <= tolerance_ * total) {
+        waived_set_.insert(s);
+        ++waived_;
+        continue;
+      }
+      out.push_back(s);
+    }
+    advance_base();
+    return out;
+  }
+
+  std::vector<SeqNo> missing() const {
+    std::vector<SeqNo> out;
+    for (SeqNo s = base_; s < horizon_; ++s)
+      if (!received_set_.count(s) && !waived_set_.count(s)) out.push_back(s);
+    return out;
+  }
+
+  SeqNo base_ = 0;
+  SeqNo horizon_ = 0;
+  std::uint64_t received_ = 0;
+  std::uint64_t waived_ = 0;
+  std::uint64_t duplicates_ = 0;
+
+ private:
+  void advance_base() {
+    while (received_set_.erase(base_) || waived_set_.erase(base_)) ++base_;
+    gap_at_.erase(gap_at_.begin(), gap_at_.lower_bound(base_));
+  }
+
+  double tolerance_;
+  std::set<SeqNo> received_set_;
+  std::set<SeqNo> waived_set_;
+  std::uint64_t arrivals_ = 0;
+  std::map<SeqNo, std::uint64_t> gap_at_;
+};
+
+// Seeded arrival mixes: in-order packets, short jumps, late fills of
+// holes (the oldest one included), duplicates at and below the cumulative
+// ACK, and jumps of 200-1100 sequence numbers while the live range is
+// under 1500 wide, which regrow the ring from empty to 2048 or 4096
+// cells. SNACK lists are drawn between arrivals with caps of 1-80.
+TEST(SeqTracker, MatchesASetReferenceUnderRandomArrivals) {
+  std::uint64_t checks = 0;
+  for (double tol : {0.0, 0.02, 0.1, 0.5, 1.0}) {
+    for (int threshold : {0, 1, 3, 7}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::mt19937_64 rng(seed * 1000 + static_cast<std::uint64_t>(
+                                              threshold * 10 + tol * 100));
+        const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+        SeqTracker t(tol);
+        SetReferenceTracker ref(tol);
+        for (int step = 0; step < 2500; ++step) {
+          const SeqNo h = ref.horizon_;
+          const SeqNo base = ref.base_;
+          const SeqNo range = h - base;
+          const std::uint64_t mix = below(100);
+          SeqNo seq = h;  // in order, also when a branch does not apply
+          if (mix < 30) {
+            seq = h;
+          } else if (mix < 40) {
+            seq = h + 1 + below(4);  // short jump
+          } else if (mix < 65) {
+            seq = base;  // the oldest hole, or in order if there is none
+          } else if (mix < 80 && range > 0) {
+            seq = base + below(std::min<SeqNo>(range, 48));  // late, low
+          } else if (mix < 88 && range > 0) {
+            seq = base + below(range);  // late, anywhere in the range
+          } else if (mix < 98) {
+            seq = base - std::min<SeqNo>(base, below(4));  // duplicate
+          } else if (range < 1500) {
+            seq = h + 200 + below(901);  // long jump
+          }
+          ASSERT_EQ(t.receive(seq), ref.receive(seq))
+              << "tol=" << tol << " thr=" << threshold << " seed=" << seed
+              << " step=" << step << " seq=" << seq;
+          if (below(4) == 0) {
+            const std::size_t cap = 1 + below(80);
+            ASSERT_EQ(t.missing_after_waive(cap, threshold),
+                      ref.missing_after_waive(cap, threshold))
+                << "tol=" << tol << " thr=" << threshold << " seed=" << seed
+                << " step=" << step << " cap=" << cap;
+          }
+          if (step % 64 == 0) {
+            ASSERT_EQ(t.missing(), ref.missing());
+          }
+          ASSERT_EQ(t.cumulative_ack(), ref.base_);
+          ASSERT_EQ(t.horizon(), ref.horizon_);
+          ASSERT_EQ(t.received_count(), ref.received_);
+          ASSERT_EQ(t.waived_count(), ref.waived_);
+          ASSERT_EQ(t.duplicate_count(), ref.duplicates_);
+          ++checks;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checks, 5u * 4u * 3u * 2500u);
+}
 
 TEST(SeqTracker, InOrderAdvancesBase) {
   SeqTracker t;

@@ -1,9 +1,7 @@
 // Tests for the tabular output layer: CSV escaping, Cell rendering,
-// Series schema enforcement and serialization, CsvWriter streaming.
+// Series schema enforcement and serialization.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "sim/trace.h"
@@ -82,7 +80,8 @@ TEST(Series, CsvExpandsCiColumns) {
   s.append({1, Cell(2.0, 0.5)});
   s.append({2, 3.0});  // plain value in a CI column: half-width 0
   std::ostringstream os;
-  s.write_csv(os);
+  s.write_csv_header(os);
+  for (const auto& row : s.rows()) s.write_csv_row(os, row);
   EXPECT_EQ(os.str(),
             "x,y,y_ci95\n"
             "1,2.00,0.50\n"
@@ -93,43 +92,11 @@ TEST(Series, CsvEscapesHeaderAndTextCells) {
   Series s({{"name, first", 0}, {"v", 1}});
   s.append({Cell("a \"quoted\" one"), 1.5});
   std::ostringstream os;
-  s.write_csv(os);
+  s.write_csv_header(os);
+  s.write_csv_row(os, s.rows().front());
   EXPECT_EQ(os.str(),
             "\"name, first\",v\n"
             "\"a \"\"quoted\"\" one\",1.5\n");
-}
-
-TEST(Series, WriteCsvFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "trace_test_series.csv";
-  Series s({{"a", 1}});
-  s.append({1.0});
-  ASSERT_TRUE(s.write_csv_file(path));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "a\n1.0\n");
-  std::remove(path.c_str());
-}
-
-TEST(Series, WriteCsvFileFailsOnBadPath) {
-  Series s({{"a", 1}});
-  EXPECT_FALSE(s.write_csv_file("/nonexistent-dir/x/y.csv"));
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = ::testing::TempDir() + "trace_test_writer.csv";
-  {
-    CsvWriter w(path, {"t", "v"});
-    ASSERT_TRUE(w.ok());
-    w.row({1.0, 2.5});
-    w.row(std::vector<std::string>{"x,y", "ok"});
-    EXPECT_THROW(w.row({1.0}), std::invalid_argument);
-  }
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "t,v\n1,2.5\n\"x,y\",ok\n");
-  std::remove(path.c_str());
 }
 
 }  // namespace
